@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from bookrel import nn
+from workloads import MAX_WORDS, TOP_K
 
 INVERSE = {"SW": "SW", "DV": "DV", "PARTOF": "CONTAINS", "CONTAINS": "PARTOF",
            "DIFF": "DIFF", "OVERLAPS": "OVERLAPS"}
@@ -130,7 +131,7 @@ def check_featurize(rec: Recorder, w, r, parsed: dict[str, dict],
         left, right = ref.get(pair.left_id), ref.get(pair.right_id)
         if left is None or right is None:
             skipped["missing_book"] += 1
-        elif max(left[2], right[2]) > w.max_words:
+        elif max(left[2], right[2]) > MAX_WORDS:
             skipped["oversize"] += 1
         elif max(len(left[0]), len(right[0])) > w.matrix_size:
             skipped["truncated"] += 1
@@ -363,7 +364,7 @@ def check_scoring(rec: Recorder, w, r) -> None:
     ranks = [row.rank for row in r.ranked]
     confidence = [row.confidence for row in r.ranked]
     rec.check(stage, "overlap_ranks",
-              ranks == list(range(1, min(w.top_k, len(r.loaded)) + 1))
+              ranks == list(range(1, min(TOP_K, len(r.loaded)) + 1))
               and all(a >= b for a, b in zip(confidence, confidence[1:])),
               "ranks not 1..k in non-increasing confidence")
     want = [(ex.left_id, ex.right_id) for ex in r.loaded

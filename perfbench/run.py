@@ -1,6 +1,6 @@
 """bookrel benchmark: one workload per run, or all of them one after another.
 
-    python3 perfbench/run.py --workload demo --seed 0 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload demo --seed 0 --seconds 50 --trace 0
     python3 perfbench/run.py --workload all --seed 0
 
 Run from the repository root. The program is imported from ``src/`` of the
@@ -13,11 +13,13 @@ they do so in phases of seconds to minutes (README, "How a run measures").
 The first round's outputs are checked against computations made apart from
 bookrel (see checks.py); later rounds must reproduce them bit for bit.
 
-With ``--trace 1`` the run sets up once, with spans, and runs four rounds
-instead: an untraced warm-up, one with spans around every public bookrel
-call (self times and counts), an untraced one to compare it with, and one
-with tracemalloc on (memory peaks). It prints the per-layer metrics and the
-span tracing's overhead against the untraced round.
+With ``--trace 1`` the run sets up once, with spans, and runs eight rounds
+instead: an untraced warm-up, three rounds with spans around every public
+bookrel call alternating with three untraced ones, and one with tracemalloc
+on (memory peaks). Self times and counts come from the set-up and the first
+round with spans. It prints the per-layer metrics and the span tracing's
+overhead: the stages' fastest samples with spans against those without,
+next to how far the untraced rounds differ among themselves.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
@@ -43,6 +45,8 @@ HERE = Path(__file__).resolve().parent
 # kept out of it because its figures were not steady on a shared host
 WORKLOAD_NAMES = ("demo", "paper-side")
 MB = 1e6
+# pairs of rounds with and without spans in a traced run
+TRACE_ROUND_PAIRS = 3
 
 
 def cap_threads() -> None:
@@ -57,6 +61,15 @@ def cap_threads() -> None:
 def disk_mb(directory: Path) -> float:
     """Allocated size of every file under directory, in MB."""
     return sum(p.stat().st_blocks * 512 for p in directory.rglob("*") if p.is_file()) / MB
+
+
+def add_stages(total: dict, stages: dict) -> None:
+    """Add one round's stage samples and operation counts to total."""
+    for stage_name, stage in stages.items():
+        into = total.setdefault(stage_name, type(stage)())
+        into.samples += stage.samples
+        into.attempted += stage.attempted
+        into.failed += stage.failed
 
 
 def peak_rss_mb() -> float:
@@ -90,11 +103,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             with tracer:
                 r = workloads.run_round(w, seed, inputs, round_dir)
         elapsed = time.perf_counter() - started
-        for stage_name, stage in r.stages.items():
-            total = stages.setdefault(stage_name, workloads.Stage())
-            total.samples += stage.samples
-            total.attempted += stage.attempted
-            total.failed += stage.failed
+        add_stages(stages, r.stages)
         fits.append(r.fit_seconds)
         if digest is None:
             losses[:] = [h["loss"] for h in r.history]
@@ -113,22 +122,37 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             timed = tracing.Tracer()
             with timed:
                 inputs = workloads.setup(w, seed, workdir / "setup")
-            # the first round also warms caches, so the overhead is taken
-            # against a second untraced round
+            # The first round warms caches. Then rounds with spans and without
+            # alternate; the overhead compares their stages' fastest samples.
+            # Self times and counts come from the set-up and the first round
+            # with spans.
             one_round(inputs)
-            traced, _ = one_round(inputs, timed)
-            plain, _ = one_round(inputs)
+            with_spans: dict = {}
+            plain: dict = {}
+            plain_rounds = []
+            for i in range(TRACE_ROUND_PAIRS):
+                r, _ = one_round(inputs, timed if i == 0 else tracing.Tracer())
+                add_stages(with_spans, r.stages)
+                r, _ = one_round(inputs)
+                add_stages(plain, r.stages)
+                plain_rounds.append(workloads.pipeline_seconds(r.stages))
             memory = tracing.Tracer(memory=True)
             one_round(inputs, memory)
             layer = tracing.per_layer(timed, memory)
-            overhead = 100.0 * (workloads.pipeline_seconds(traced.stages)
-                                / workloads.pipeline_seconds(plain.stages) - 1.0)
+            overhead = 100.0 * (workloads.pipeline_seconds(with_spans)
+                                / workloads.pipeline_seconds(plain) - 1.0)
+            # how far apart the untraced rounds themselves are
+            resolution = 100.0 * (max(plain_rounds) / min(plain_rounds) - 1.0)
             layer["trace.overhead_pct"] = (overhead, "%")
             layer["features.featurize_pairs_per_s"] = (
-                plain.featurized / min(plain.stages["featurize"].samples), "pairs/s")
+                r.featurized / min(plain["featurize"].samples), "pairs/s")
             timed.write(HERE / ".traces" / f"{name}-seed{seed}.json")
             metrics = {k: {"value": v, "unit": u} for k, (v, u) in layer.items()}
-            summary = f"traced run: span overhead {overhead:+.1f}% of the untraced round"
+            verdict = "unresolved" if abs(overhead) <= resolution else "resolved"
+            summary = (f"traced run: span overhead {overhead:+.1f}% over "
+                       f"{TRACE_ROUND_PAIRS} rounds with and without spans; the "
+                       f"untraced rounds alone differ by up to {resolution:.1f}%, "
+                       f"so the overhead is {verdict}")
         else:
             setup_times = []
             for i in range(workloads.SETUP_REPEATS):
@@ -211,7 +235,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=(*WORKLOAD_NAMES, "featurize-bulk", "all"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--seconds", type=float, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

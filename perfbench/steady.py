@@ -7,8 +7,7 @@
 ``run`` starts the benchmark command from BENCHMARK.json once per workload
 and seed, one run at a time, and prints each end-to-end metric's median,
 quartiles and spread (interquartile range over the median) next to the
-metric's bound. A spread above a third of the bound fails, except for
-``setup_s``, whose runs are compared by median only. ``compare`` takes two
+metric's bound. A spread above a third of the bound fails. ``compare`` takes two
 such files and fails when a median got worse by more than the bound, or when
 the share of failed operations differs between the sets.
 """
@@ -80,9 +79,7 @@ def report(bench: dict, results: dict) -> int:
         for metric in bench["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in runs.values()]
             median, q1, q3, spread = summary(values)
-            if metric["name"] == "setup_s":
-                verdict = "median only"
-            elif spread <= metric["bound"] / 3:
+            if spread <= metric["bound"] / 3:
                 verdict = "steady"
             else:
                 verdict = "TOO WIDE" if spread > metric["bound"] else "wider than bound/3"

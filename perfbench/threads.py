@@ -1,11 +1,11 @@
 """Paired comparison of featurize with one and with two threads.
 
-    python3 perfbench/threads.py --workload featurize-bulk --seed 0 --pairs 5
+    python3 perfbench/threads.py --seed 0
 
-Sets the workload up once, then times featurize_pairs (the only call the
-thread count reaches) and write_features with ``threads=1`` and
-``threads=2`` in alternating order, ``--pairs`` times each, and checks that
-both thread counts write identical records. Prints each pair's times, both
+Sets the featurize-bulk workload up once, then times featurize_pairs (the
+only call the thread count reaches) and write_features with ``threads=1``
+and ``threads=2`` in alternating order, six times each, and checks that both
+thread counts write identical records. Prints each pair's times, both
 medians and how often two threads won.
 """
 
@@ -21,20 +21,20 @@ from pathlib import Path
 
 from run import HERE, ROOT, cap_threads
 
+WORKLOAD = "featurize-bulk"
+PAIRS = 6
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="featurize-bulk",
-                        choices=("featurize-bulk", "paper-side"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args(argv)
     cap_threads()
     sys.path.insert(0, str(ROOT / "src"))
     from bookrel import features
     import workloads
 
-    w = workloads.WORKLOADS[args.workload]
+    w = workloads.WORKLOADS[WORKLOAD]
     (HERE / ".work").mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="threads-", dir=HERE / ".work"))
     try:
@@ -43,14 +43,14 @@ def main(argv=None) -> int:
         times: dict[int, list[float]] = {1: [], 2: []}
         writes: dict[int, list[float]] = {1: [], 2: []}
         records: dict[int, bytes] = {}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = (1, 2) if i % 2 == 0 else (2, 1)
             for threads in order:
                 out = workdir / f"features-{threads}"
                 start = time.perf_counter()
                 examples, _ = features.featurize_pairs(
                     pairs, inputs.books, inputs.table, chunk_size=w.chunk_size,
-                    matrix_size=w.matrix_size, max_words=w.max_words, threads=threads,
+                    matrix_size=w.matrix_size, max_words=workloads.MAX_WORDS, threads=threads,
                 )
                 times[threads].append(time.perf_counter() - start)
                 start = time.perf_counter()
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     wins = sum(b < a for a, b in zip(times[1], times[2]))
     print(f"{len(pairs)} pairs; featurize_pairs median 1 thread {one:.3f} s, 2 threads "
           f"{two:.3f} s ({100 * (two / one - 1):+.1f}%); 2 threads faster in {wins} of "
-          f"{args.pairs} pairs; write median {statistics.median(writes[1]):.3f} s / "
+          f"{PAIRS} pairs; write median {statistics.median(writes[1]):.3f} s / "
           f"{statistics.median(writes[2]):.3f} s; identical records: {records[1] == records[2]}")
     return 0 if records[1] == records[2] else 1
 

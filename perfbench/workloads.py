@@ -21,75 +21,64 @@ from bookrel.labels import canonical_class_list
 
 @dataclass(frozen=True)
 class Workload:
+    """The settings that differ between workloads; the rest are the module
+    constants below, passed explicitly all the same."""
+
     name: str
     # demo-corpus generator
     n_works: int
-    vols_per_work: int
     pages: int
-    page_words: int
-    duplicate_fraction: float
     combined_works: int
-    vocab: VocabModel
     # labels and synthetic books
     sample_diff: int
     synth_counts: dict
     # featurize
     chunk_size: int
     matrix_size: int
-    max_words: int
     # training and scoring; epochs 0 runs neither
     epochs: int
-    batch_size: int
-    learning_rate: float
-    dropout_flat: float
-    dropout_pair: float
-    top_k: int
     # shape of a round
     synthesize_measured: bool
     featurize_repeats: int
     load_repeats: int
 
 
+VOLS_PER_WORK = 4
+PAGE_WORDS = 100
+DUPLICATE_FRACTION = 0.5
 VOCAB = VocabModel(topic_words=40, background_words=250, dimension=16,
                    topic_spread=0.8, background_scale=0.3, volume_sigma=2.2,
                    section_pages=6, section_sigma=1.2)
+MAX_WORDS = 750_000
+TOP_K = 50
+TRAIN = dict(batch_size=32, learning_rate=1e-3, dropout_flat=0.5, dropout_pair=0.25)
 
 README_SYNTH = {"anthology": 18, "combined": 12, "split": 16, "overlap": 10}
 
-SETUP_REPEATS = 3  # setup_s is their median
-
-TRAIN = dict(batch_size=32, learning_rate=1e-3, dropout_flat=0.5, dropout_pair=0.25)
+SETUP_REPEATS = 5  # setup_s is their median
 
 WORKLOADS = {
     w.name: w for w in (
         # The README desk-scale pipeline, trained for fewer epochs than the
         # README's 30 so that a run fits the benchmark's time budget.
-        Workload("demo", n_works=48, vols_per_work=4, pages=22, page_words=100,
-                 duplicate_fraction=0.5, combined_works=6, vocab=VOCAB,
+        Workload("demo", n_works=48, pages=22, combined_works=6,
                  sample_diff=2200, synth_counts=README_SYNTH,
-                 chunk_size=400, matrix_size=32, max_words=750_000,
-                 epochs=2, top_k=50, synthesize_measured=True, featurize_repeats=1,
-                 load_repeats=16,
-                 **TRAIN),
+                 chunk_size=400, matrix_size=32, epochs=2,
+                 synthesize_measured=True, featurize_repeats=1, load_repeats=16),
         # Featurize and the store at scale, without nn. A reference workload
         # outside BENCHMARK.json: its figures are dominated by creating
         # thousands of small files, whose speed drifts several-fold on a
         # shared host.
-        Workload("featurize-bulk", n_works=96, vols_per_work=4, pages=44,
-                 page_words=100, duplicate_fraction=0.5, combined_works=48,
-                 vocab=VOCAB, sample_diff=4000, synth_counts=README_SYNTH,
-                 chunk_size=200, matrix_size=64, max_words=750_000,
-                 epochs=0, top_k=50, synthesize_measured=False, featurize_repeats=1,
-                 load_repeats=3, **TRAIN),
+        Workload("featurize-bulk", n_works=96, pages=44, combined_works=48,
+                 sample_diff=4000, synth_counts=README_SYNTH,
+                 chunk_size=200, matrix_size=64, epochs=0,
+                 synthesize_measured=False, featurize_repeats=1, load_repeats=3),
         # The paper's matrix side with page-sized chunks on a small corpus.
-        Workload("paper-side", n_works=6, vols_per_work=4, pages=50, page_words=100,
-                 duplicate_fraction=0.5, combined_works=3, vocab=VOCAB,
+        Workload("paper-side", n_works=6, pages=50, combined_works=3,
                  sample_diff=40,
                  synth_counts={"anthology": 3, "combined": 2, "split": 3, "overlap": 2},
-                 chunk_size=100, matrix_size=150, max_words=750_000,
-                 epochs=2, top_k=50, synthesize_measured=False, featurize_repeats=4,
-                 load_repeats=16,
-                 **TRAIN),
+                 chunk_size=100, matrix_size=150, epochs=2,
+                 synthesize_measured=False, featurize_repeats=4, load_repeats=16),
     )
 }
 
@@ -141,9 +130,9 @@ def setup(w: Workload, seed: int, workdir: Path) -> Inputs:
     """Generate the demo corpus, write it as the CLI's gen-demo-corpus does,
     then load it back with labels and embeddings."""
     demo = evaluation.generate_demo_corpus(
-        n_works=w.n_works, vols_per_work=w.vols_per_work, pages=w.pages,
-        vocab_model=w.vocab, seed=seed, page_words=w.page_words,
-        duplicate_fraction=w.duplicate_fraction, combined_works=w.combined_works,
+        n_works=w.n_works, vols_per_work=VOLS_PER_WORK, pages=w.pages,
+        vocab_model=VOCAB, seed=seed, page_words=PAGE_WORDS,
+        duplicate_fraction=DUPLICATE_FRACTION, combined_works=w.combined_works,
     )
     out = workdir / "corpus"
     (out / "books").mkdir(parents=True)
@@ -243,25 +232,27 @@ def run_round(w: Workload, seed: int, inputs: Inputs, workdir: Path) -> Round:
         r.synth_dir, r.synth_rows = inputs.synth_dir, inputs.synth_rows
     r.pairs = inputs.real_pairs + r.synth_rows
 
-    # featurize and load are short on the small workloads: repeat them
+    # featurize (on paper-side) and load are short: repeat them. Only
+    # the last featurize is written, so that no featurize sample follows a
+    # burst of file creation.
     featurize = r.stages["featurize"] = Stage()
-    write = r.stages["write"] = Stage()
-    for repeat in range(w.featurize_repeats):
-        r.features_dir = workdir / f"features{repeat}"
+    for _ in range(w.featurize_repeats):
+        examples = []
         start = clock()
         examples, r.skipped = features.featurize_pairs(
             r.pairs, books, inputs.table, chunk_size=w.chunk_size,
-            matrix_size=w.matrix_size, max_words=w.max_words, threads=1,
+            matrix_size=w.matrix_size, max_words=MAX_WORDS, threads=1,
         )
         featurize.samples.append(clock() - start)
         featurize.attempted += len(r.pairs)
         featurize.failed += len(r.pairs) - len(examples) - sum(r.skipped.values())
-        start = clock()
-        features.write_features(examples, r.features_dir, w.chunk_size, w.matrix_size)
-        write.samples.append(clock() - start)
-        write.attempted += len(examples)  # a record not written fails to load
-        r.featurized = len(examples)
-        del examples
+    r.featurized = len(examples)
+    r.features_dir = workdir / "features"
+    start = clock()
+    features.write_features(examples, r.features_dir, w.chunk_size, w.matrix_size)
+    # a record not written fails to load
+    r.stages["write"] = Stage([clock() - start], len(examples), 0)
+    del examples
 
     stage = r.stages["load"] = Stage()
     for _ in range(w.load_repeats):
@@ -277,10 +268,7 @@ def run_round(w: Workload, seed: int, inputs: Inputs, workdir: Path) -> Round:
     start = clock()
     real = [ex for ex in r.loaded if ex.provenance == "real"]
     synthetic = [ex for ex in r.loaded if ex.provenance != "real"]
-    train_config = nn.TrainConfig(
-        epochs=w.epochs, batch_size=w.batch_size, learning_rate=w.learning_rate,
-        dropout_flat=w.dropout_flat, dropout_pair=w.dropout_pair, seed=seed,
-    )
+    train_config = nn.TrainConfig(epochs=w.epochs, seed=seed, **TRAIN)
     experiment = evaluation.ExperimentConfig("mixed", 1.0, seed, train_config)
     r.train_set, r.test_set, _ = evaluation.build_condition_dataset(real, synthetic, experiment)
     class_list = canonical_class_list(ex.label for ex in r.train_set)
@@ -293,9 +281,9 @@ def run_round(w: Workload, seed: int, inputs: Inputs, workdir: Path) -> Round:
 
     start = clock()
     r.confusion = evaluation.evaluate_model(r.model, r.test_set)
-    r.ranked = evaluation.surface_overlaps(r.model, r.loaded, w.top_k)
+    r.ranked = evaluation.surface_overlaps(r.model, r.loaded, TOP_K)
     r.infer_pairs = len(r.test_set) + len(r.loaded)
-    expected_ranked = min(w.top_k, len(r.loaded))
+    expected_ranked = min(TOP_K, len(r.loaded))
     r.stages["score"] = Stage(
         [clock() - start], r.infer_pairs,
         (len(r.test_set) - r.confusion.total) + (expected_ranked - len(r.ranked)),
