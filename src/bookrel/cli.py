@@ -149,11 +149,13 @@ def _read_catalog(path: Path) -> list[tuple[str, str, str]]:
         header = handle.readline().rstrip("\n").split("\t")
         if header != ["book_id", "work_key", "enumeration_raw"]:
             raise ValueError(f"{path}: bad catalog header {header}")
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            book_id, work_key, raw = line.rstrip("\n").split("\t")
-            rows.append((book_id, work_key, raw))
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
+            rows.append(tuple(fields))
     return rows
 
 
@@ -314,7 +316,8 @@ def _write_metrics_tsv(report, path: Path) -> None:
             f"MACRO[{'+'.join(c.value for c in report.metrics.macro_classes)}]\t"
             f"\t\t{report.metrics.macro_f1:.6f}\t\n"
         )
-        handle.write(f"MICRO[all]\t\t\t{report.metrics.micro_f1:.6f}\t\n")
+        # the pooled (micro) F1 of single-label data is the accuracy
+        handle.write(f"MICRO[all]\t\t\t{report.metrics.accuracy:.6f}\t\n")
 
 
 def _write_confusion_tsv(confusion, path: Path) -> None:
@@ -348,12 +351,11 @@ def cmd_evaluate(args) -> int:
             f"train: {report.n_train_real} real + {report.n_train_synth} synthetic;"
             f" test: {report.n_test} real\n"
             f"whole-part macro F1 {report.metrics.macro_f1:.4f},"
-            f" micro F1 {report.metrics.micro_f1:.4f},"
             f" accuracy {report.metrics.accuracy:.4f}\n"
         )
     _eprint(
         f"evaluate[{report.condition}]: macro-F1 {report.metrics.macro_f1:.4f} "
-        f"micro-F1 {report.metrics.micro_f1:.4f} -> {out}"
+        f"accuracy {report.metrics.accuracy:.4f} -> {out}"
     )
     _write_run_manifest(out, "evaluate",
                         {"features": args.features, "condition": args.condition,

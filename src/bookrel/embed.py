@@ -89,13 +89,6 @@ class Chunk:
     word_count: int
 
 
-@dataclass(frozen=True)
-class ChunkVector:
-    ordinal: int
-    vector: np.ndarray
-    words_embedded: int
-
-
 def chunk_book(book: Book, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Chunk]:
     """Accumulate pages, in order, into the current chunk until it reaches
     `chunk_size` words, then start a new one. Pages are never split, so every
@@ -118,28 +111,20 @@ def chunk_book(book: Book, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Chunk]:
     return chunks
 
 
-def chunk_vector(chunk: Chunk, table: EmbeddingTable) -> ChunkVector:
-    """Count-weighted sum of the chunk's in-vocabulary token vectors.
-    Out-of-vocabulary tokens are skipped."""
-    vector = np.zeros(table.dimension, dtype=np.float64)
-    words_embedded = 0
-    for token, count in chunk.tokens.items():
-        vec = table.vectors.get(token)
-        if vec is None:
-            continue
-        vector += count * vec
-        words_embedded += count
-    return ChunkVector(chunk.ordinal, vector, words_embedded)
-
-
 def chunk_vectors(
     book: Book, table: EmbeddingTable, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> np.ndarray:
-    """All chunk vectors of a book as an (n_chunks, d) array."""
+    """All chunk vectors of a book as an (n_chunks, d) array. Row i is the
+    count-weighted sum of chunk i's in-vocabulary token vectors;
+    out-of-vocabulary tokens are skipped, so a fully out-of-vocabulary chunk
+    is a zero row."""
     chunks = chunk_book(book, chunk_size)
     out = np.zeros((len(chunks), table.dimension), dtype=np.float64)
-    for i, chunk in enumerate(chunks):
-        out[i] = chunk_vector(chunk, table).vector
+    for row, chunk in zip(out, chunks):
+        for token, count in chunk.tokens.items():
+            vec = table.vectors.get(token)
+            if vec is not None:
+                row += count * vec
     return out
 
 

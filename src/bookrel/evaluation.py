@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Book, BookMetadata, Page, book_word_count
+from .corpus import Book, BookMetadata, Page
 from .embed import EmbeddingTable
 from .features import LabeledPair, PairExample
 from .labels import (
@@ -29,6 +29,7 @@ from . import nn
 from .nn import ClassifierModel, ModelConfig, TrainConfig
 
 TEST_BUCKET_PERCENT = 20  # fixed 80/20 split on a hash of the pair ids
+SCORE_BATCH = 32  # pairs per forward pass when scoring; about 3 MB each at side 150
 
 
 # --- metrics ------------------------------------------------------------------
@@ -64,8 +65,7 @@ class ConfusionMatrix:
 class MetricsReport:
     per_class: list[ClassMetrics]
     macro_f1: float
-    micro_f1: float
-    accuracy: float
+    accuracy: float  # also the pooled (micro) F1, which equals it for single-label data
     macro_classes: list[RelationshipLabel]
 
     def metrics_for(self, label: RelationshipLabel) -> ClassMetrics:
@@ -73,10 +73,6 @@ class MetricsReport:
             if metrics.label == label:
                 return metrics
         raise KeyError(label)
-
-    def macro_recall(self) -> float:
-        picked = [self.metrics_for(c).recall for c in self.macro_classes]
-        return float(np.mean(picked)) if picked else 0.0
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -95,8 +91,9 @@ def compute_metrics(
     macro_classes: Sequence[RelationshipLabel] | None = None,
 ) -> MetricsReport:
     """Per-class precision/recall/F1 plus a macro-F1 over a designated class
-    subset (the whole-part classes by default) and a micro-F1 pooled over all
-    classes. For single-label data the micro-F1 equals accuracy."""
+    subset (the whole-part classes by default) and the accuracy. For
+    single-label data the micro-F1 pooled over all classes equals accuracy,
+    so it is reported as the accuracy."""
     if confusion.total <= 0:
         raise ValueError("confusion matrix is empty")
     counts = confusion.counts
@@ -120,14 +117,20 @@ def compute_metrics(
         next(m.f1 for m in per_class if m.label == c) for c in macro_classes
     )
 
-    pooled_tp = int(np.trace(counts))
-    pooled_fp = confusion.total - pooled_tp
-    pooled_fn = confusion.total - pooled_tp
-    micro_p = pooled_tp / (pooled_tp + pooled_fp) if confusion.total else 0.0
-    micro_r = pooled_tp / (pooled_tp + pooled_fn) if confusion.total else 0.0
-    accuracy = pooled_tp / confusion.total
-    return MetricsReport(per_class, macro, f1_score(micro_p, micro_r), accuracy,
-                         list(macro_classes))
+    accuracy = int(np.trace(counts)) / confusion.total
+    return MetricsReport(per_class, macro, accuracy, list(macro_classes))
+
+
+def score_pairs(model: ClassifierModel, examples: Sequence[PairExample]) -> np.ndarray:
+    """Class probabilities, one row per example, computed SCORE_BATCH examples
+    at a time so that memory stays bounded however many pairs are scored."""
+    probs = np.zeros((len(examples), len(model.class_list)))
+    for start in range(0, len(examples), SCORE_BATCH):
+        batch = examples[start : start + SCORE_BATCH]
+        mats = np.stack([ex.matrix.values for ex in batch])
+        pairs = np.stack([np.asarray(ex.pair_vector) for ex in batch])
+        probs[start : start + len(batch)] = nn.forward(model, mats, pairs)
+    return probs
 
 
 def evaluate_model(
@@ -139,13 +142,8 @@ def evaluate_model(
         labels = set(model.class_list) | {ex.label for ex in examples}
         class_list = [c for c in CLASS_ORDER if c in labels]
     confusion = ConfusionMatrix.empty(class_list)
-    if not examples:
-        return confusion
-    mats = np.stack([ex.matrix.values for ex in examples])
-    pairs = np.stack([np.asarray(ex.pair_vector) for ex in examples])
-    probs = nn.forward(model, mats, pairs)
-    predicted_idx = probs.argmax(axis=1)
-    for example, pred in zip(examples, predicted_idx):
+    # argmax resolves exact ties to the lowest class index
+    for example, pred in zip(examples, score_pairs(model, examples).argmax(axis=1)):
         confusion.add(example.label, model.class_list[int(pred)])
     return confusion
 
@@ -319,13 +317,8 @@ def surface_overlaps(
     Candidates beyond the pair count are simply all returned."""
     if RelationshipLabel.OVERLAPS not in model.class_list:
         raise ValueError("model was not trained with an OVERLAPS class")
-    if not examples:
-        return []
     overlap_idx = model.class_index(RelationshipLabel.OVERLAPS)
-    mats = np.stack([ex.matrix.values for ex in examples])
-    pairs = np.stack([np.asarray(ex.pair_vector) for ex in examples])
-    probs = nn.forward(model, mats, pairs)
-    confidence = probs[:, overlap_idx]
+    confidence = score_pairs(model, examples)[:, overlap_idx]
     order = sorted(
         range(len(examples)),
         key=lambda i: (-confidence[i], examples[i].left_id, examples[i].right_id),
@@ -339,12 +332,6 @@ def surface_overlaps(
 
 
 # --- corpus filters and pair sampling --------------------------------------------
-
-def filter_oversize(corpus: Sequence[Book], max_words: int = 750_000) -> list[Book]:
-    """Drop books too long to featurize without truncation from training-pair
-    construction (they remain usable at inference)."""
-    return [book for book in corpus if book_word_count(book) <= max_words]
-
 
 def sample_diff_pairs(
     catalog: Sequence[tuple[str, str]],

@@ -4,7 +4,7 @@ A feature directory holds one similarity-matrix file per pair plus a single
 flat file of fixed-width pair-feature records, indexed by
 ``features-manifest.tsv``. Pairs whose books exceed the training word limit,
 or whose chunk count would overflow the matrix, are excluded from training
-features (they remain featurizable one-off for inference).
+features.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .embed import EmbeddingTable, book_vector, chunk_vectors, DEFAULT_CHUNK_SIZ
 from .labels import RelationshipLabel
 from .simmat import (
     DEFAULT_MATRIX_SIZE,
-    PairFeatures,
     SimilarityMatrix,
     load_matrix,
     pad_truncate,
@@ -57,44 +56,6 @@ class PairExample:
     provenance: str
 
 
-def featurize_pair(
-    left: Book,
-    right: Book,
-    table: EmbeddingTable,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    matrix_size: int = DEFAULT_MATRIX_SIZE,
-) -> tuple[SimilarityMatrix, PairFeatures]:
-    """Similarity matrix and pair feature vector for one ordered book pair."""
-    left_chunks = chunk_vectors(left, table, chunk_size)
-    right_chunks = chunk_vectors(right, table, chunk_size)
-    matrix = pad_truncate(pairwise_similarity(left_chunks, right_chunks), matrix_size)
-    feats = pair_features(book_vector(left, table), book_vector(right, table))
-    return matrix, feats
-
-
-class _BookFeatureCache:
-    """Per-book chunk vectors and book vector, computed once per featurize run."""
-
-    def __init__(self, books: Mapping[str, Book], table: EmbeddingTable, chunk_size: int):
-        self.books = books
-        self.table = table
-        self.chunk_size = chunk_size
-        self._chunks: dict[str, np.ndarray] = {}
-        self._vectors: dict[str, np.ndarray] = {}
-
-    def chunks(self, book_id: str) -> np.ndarray:
-        if book_id not in self._chunks:
-            self._chunks[book_id] = chunk_vectors(
-                self.books[book_id], self.table, self.chunk_size
-            )
-        return self._chunks[book_id]
-
-    def vector(self, book_id: str) -> np.ndarray:
-        if book_id not in self._vectors:
-            self._vectors[book_id] = book_vector(self.books[book_id], self.table)
-        return self._vectors[book_id]
-
-
 def featurize_pairs(
     pairs: Sequence[LabeledPair],
     books: Mapping[str, Book],
@@ -106,8 +67,21 @@ def featurize_pairs(
 ) -> tuple[list[PairExample], dict[str, int]]:
     """Featurize labeled pairs, excluding any pair touching a book that is
     over the word limit or whose similarity matrix would be truncated.
-    Returns (examples, skip counts by reason)."""
-    cache = _BookFeatureCache(books, table, chunk_size)
+    Returns (examples, skip counts by reason). Each book's chunk vectors and
+    book vector are computed once per call."""
+    chunk_cache: dict[str, np.ndarray] = {}
+    vector_cache: dict[str, np.ndarray] = {}
+
+    def chunks(book_id: str) -> np.ndarray:
+        if book_id not in chunk_cache:
+            chunk_cache[book_id] = chunk_vectors(books[book_id], table, chunk_size)
+        return chunk_cache[book_id]
+
+    def vector(book_id: str) -> np.ndarray:
+        if book_id not in vector_cache:
+            vector_cache[book_id] = book_vector(books[book_id], table)
+        return vector_cache[book_id]
+
     skipped = {"oversize": 0, "truncated": 0, "missing_book": 0}
 
     eligible: list[LabeledPair] = []
@@ -122,8 +96,8 @@ def featurize_pairs(
             skipped["oversize"] += 1
             continue
         if (
-            len(cache.chunks(pair.left_id)) > matrix_size
-            or len(cache.chunks(pair.right_id)) > matrix_size
+            len(chunks(pair.left_id)) > matrix_size
+            or len(chunks(pair.right_id)) > matrix_size
         ):
             skipped["truncated"] += 1
             continue
@@ -131,12 +105,11 @@ def featurize_pairs(
 
     def build(pair: LabeledPair) -> PairExample:
         matrix = pad_truncate(
-            pairwise_similarity(cache.chunks(pair.left_id), cache.chunks(pair.right_id)),
-            matrix_size,
+            pairwise_similarity(chunks(pair.left_id), chunks(pair.right_id)), matrix_size
         )
-        feats = pair_features(cache.vector(pair.left_id), cache.vector(pair.right_id))
+        feats = pair_features(vector(pair.left_id), vector(pair.right_id))
         return PairExample(
-            pair.left_id, pair.right_id, matrix, feats.vector, pair.label, pair.provenance
+            pair.left_id, pair.right_id, matrix, feats, pair.label, pair.provenance
         )
 
     if threads > 1:
@@ -190,16 +163,22 @@ def load_features(directory: str | Path) -> list[PairExample]:
     vectors = raw.reshape(meta["count"], pair_dim) if pair_dim else raw.reshape(0, 0)
 
     examples: list[PairExample] = []
-    with open(directory / MANIFEST_NAME, encoding="utf-8") as handle:
+    manifest = directory / MANIFEST_NAME
+    with open(manifest, encoding="utf-8") as handle:
         header = tuple(handle.readline().rstrip("\n").split("\t"))
         if header != MANIFEST_COLUMNS:
             raise ValueError(f"{directory}: bad features manifest header")
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            index_s, left_id, right_id, label, provenance, matrix_file = (
-                line.rstrip("\n").split("\t")
-            )
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != len(MANIFEST_COLUMNS):
+                raise ValueError(f"{manifest}:{line_no}: expected "
+                                 f"{len(MANIFEST_COLUMNS)} fields, got {len(fields)}")
+            index_s, left_id, right_id, label, provenance, matrix_file = fields
+            if not index_s.isdecimal() or int(index_s) >= len(vectors):
+                raise ValueError(f"{manifest}:{line_no}: index {index_s!r} is outside "
+                                 f"0..{len(vectors) - 1}")
             index = int(index_s)
             examples.append(
                 PairExample(
@@ -234,10 +213,15 @@ def read_labels(path: str | Path, default_provenance: str = "real") -> list[Labe
         if header[:3] != list(LABELS_COLUMNS[:3]):
             raise ValueError(f"{path}: bad labels header {header}")
         has_provenance = len(header) >= 4 and header[3] == "provenance"
-        for line in handle:
+        n_fields = 4 if has_provenance else 3
+        for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
+            if len(fields) < n_fields:
+                raise ValueError(
+                    f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}"
+                )
             provenance = fields[3] if has_provenance else default_provenance
             pairs.append(
                 LabeledPair(fields[0], fields[1], RelationshipLabel(fields[2]), provenance)

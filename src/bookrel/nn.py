@@ -336,61 +336,13 @@ def cross_entropy(
     return loss, dlogits.astype(logits.dtype, copy=False)
 
 
-# --- public single-example surface ------------------------------------------
-
-def _as_matrix_array(matrix) -> np.ndarray:
-    values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
-    return np.asarray(values)
-
-
 def forward(
-    model: ClassifierModel,
-    matrix,
-    pair_vector: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    model: ClassifierModel, matrices: np.ndarray, pair_vectors: np.ndarray
 ) -> np.ndarray:
-    """Class probabilities for one example (or a stacked batch)."""
-    mats = _as_matrix_array(matrix)
-    pairs = np.asarray(pair_vector)
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
-        pairs = pairs[None]
-    probs, _ = _forward_batch(model, mats, pairs, train_mode=train_mode, rng=rng)
-    return probs[0] if single else probs
-
-
-def backward(
-    model: ClassifierModel,
-    example: PairExample,
-    target_label: RelationshipLabel,
-) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients for a single example (no dropout)."""
-    mats = _as_matrix_array(example.matrix)[None]
-    pairs = np.asarray(example.pair_vector)[None]
-    probs, cache = _forward_batch(model, mats, pairs, train_mode=False)
-    targets = np.array([model.class_index(target_label)])
-    _, dlogits = cross_entropy(probs, cache["logits"], targets)
-    return _backward_batch(model, cache, dlogits)
-
-
-def predict(
-    model: ClassifierModel, example: PairExample
-) -> tuple[RelationshipLabel, np.ndarray]:
-    """Most probable label and the full probability vector. Exact ties go to
-    the lowest class index."""
-    probs = forward(model, example.matrix, example.pair_vector)
-    return model.class_list[int(np.argmax(probs))], probs
-
-
-def example_loss(model: ClassifierModel, example: PairExample) -> float:
-    mats = _as_matrix_array(example.matrix)[None]
-    pairs = np.asarray(example.pair_vector)[None]
-    probs, cache = _forward_batch(model, mats, pairs, train_mode=False)
-    targets = np.array([model.class_index(example.label)])
-    loss, _ = cross_entropy(probs, cache["logits"], targets)
-    return loss
+    """Class probabilities, one row per example, for a stacked batch of
+    (B, side, side) matrices and (B, pair_dim) pair vectors; no dropout."""
+    probs, _ = _forward_batch(model, np.asarray(matrices), np.asarray(pair_vectors))
+    return probs
 
 
 def gradient_check(
@@ -402,15 +354,18 @@ def gradient_check(
     if eps <= 0:
         raise ValueError("eps must be > 0")
     model64 = model.astype(np.float64)
-    example64 = PairExample(
-        example.left_id,
-        example.right_id,
-        example.matrix,
-        np.asarray(example.pair_vector, dtype=np.float64),
-        example.label,
-        example.provenance,
-    )
-    analytic = backward(model64, example64, example64.label)
+    mats = example.matrix.values[None]
+    pairs = np.asarray(example.pair_vector, dtype=np.float64)[None]
+    targets = np.array([model64.class_index(example.label)])
+
+    # a batch of one through the same forward, loss and backward as train
+    def run() -> tuple[float, dict, np.ndarray]:
+        probs, cache = _forward_batch(model64, mats, pairs)
+        loss, dlogits = cross_entropy(probs, cache["logits"], targets)
+        return loss, cache, dlogits
+
+    _, cache, dlogits = run()
+    analytic = _backward_batch(model64, cache, dlogits)
     worst = 0.0
     for name in PARAM_ORDER:
         tensor = model64.params[name]
@@ -420,9 +375,9 @@ def gradient_check(
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            loss_plus = example_loss(model64, example64)
+            loss_plus = run()[0]
             flat[i] = keep - eps
-            loss_minus = example_loss(model64, example64)
+            loss_minus = run()[0]
             flat[i] = keep
             fd = (loss_plus - loss_minus) / (2 * eps)
             denom = max(abs(flat_grad[i]) + abs(fd), 1e-8)
@@ -466,7 +421,7 @@ class AdamState:
 def _stack_dataset(
     dataset: Sequence[PairExample], class_list: Sequence[RelationshipLabel]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mats = np.stack([_as_matrix_array(ex.matrix) for ex in dataset]).astype(np.float32)
+    mats = np.stack([ex.matrix.values for ex in dataset]).astype(np.float32)
     pairs = np.stack([np.asarray(ex.pair_vector) for ex in dataset]).astype(np.float32)
     index = {label: i for i, label in enumerate(class_list)}
     targets = np.array([index[ex.label] for ex in dataset], dtype=np.int64)
@@ -485,7 +440,7 @@ def train(
         raise ValueError("training dataset is empty")
     if class_list is None:
         class_list = canonical_class_list(ex.label for ex in dataset)
-    matrix_size = _as_matrix_array(dataset[0].matrix).shape[0]
+    matrix_size = dataset[0].matrix.size
     pair_dim = int(np.asarray(dataset[0].pair_vector).size)
     if model_config is None:
         model_config = ModelConfig(

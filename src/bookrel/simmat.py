@@ -32,21 +32,6 @@ class SimilarityMatrix:
     def size(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def truncated(self) -> bool:
-        return self.left_chunks > self.size or self.right_chunks > self.size
-
-
-@dataclass(frozen=True)
-class PairFeatures:
-    """concat((left+right)/2, left-right); length is twice the embedding dim."""
-
-    vector: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.size // 2
-
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; 0 when either vector has zero norm."""
@@ -90,15 +75,16 @@ def pad_truncate(matrix: np.ndarray, size: int = DEFAULT_MATRIX_SIZE) -> Similar
     return SimilarityMatrix(out, rows, cols)
 
 
-def pair_features(left_vec: np.ndarray, right_vec: np.ndarray) -> PairFeatures:
-    """Centroid of the two book vectors concatenated with left minus right."""
+def pair_features(left_vec: np.ndarray, right_vec: np.ndarray) -> np.ndarray:
+    """Centroid of the two book vectors concatenated with left minus right;
+    the result is twice as long as a book vector."""
     left_vec = np.asarray(left_vec, dtype=np.float64)
     right_vec = np.asarray(right_vec, dtype=np.float64)
     if left_vec.shape != right_vec.shape:
         raise ValueError(f"dimension mismatch: {left_vec.shape} vs {right_vec.shape}")
     centroid = (left_vec + right_vec) / 2.0
     difference = left_vec - right_vec
-    return PairFeatures(np.concatenate([centroid, difference]))
+    return np.concatenate([centroid, difference])
 
 
 def save_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:

@@ -162,6 +162,14 @@ def test_io_failure_exits_1(tmp_path):
                  "--out", str(tmp_path / "m.bin")]) == 1
 
 
+def test_short_catalog_row_names_file_and_line(tmp_path, capsys):
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("book_id\twork_key\tenumeration_raw\nb1\tw1\n", encoding="utf-8")
+    assert main(["infer-labels", "--catalog", str(catalog),
+                 "--out", str(tmp_path / "labels.tsv")]) == 1
+    assert f"{catalog}:2: expected 3 fields, got 2" in capsys.readouterr().err
+
+
 def test_config_file_precedence(pipeline, tmp_path):
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"epochs": 1, "batch_size": 16, "seed": 4}))

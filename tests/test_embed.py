@@ -4,12 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from bookrel.corpus import make_book
 from bookrel.embed import (
-    Chunk,
     EmbeddingFormatError,
     EmbeddingTable,
     book_vector,
     chunk_book,
-    chunk_vector,
     chunk_vectors,
     load_embeddings,
     save_embeddings,
@@ -98,30 +96,30 @@ def test_chunk_invariants(counts, chunk_size):
 
 def test_chunk_vector_scales_by_count():
     table = tiny_table({"a": [1.0, 0.0]})
-    cv = chunk_vector(Chunk(0, {"a": 2}, 2), table)
-    assert np.allclose(cv.vector, [2.0, 0.0])
-    assert cv.words_embedded == 2
+    array = chunk_vectors(make_book("b", [{"a": 2}]), table, chunk_size=10)
+    assert np.allclose(array, [[2.0, 0.0]])
 
 
 def test_chunk_vector_all_oov():
     table = tiny_table({"a": [1.0, 0.0]})
-    cv = chunk_vector(Chunk(0, {"zzz": 3}, 3), table)
-    assert np.allclose(cv.vector, [0.0, 0.0])
-    assert cv.words_embedded == 0
+    # the second chunk holds only out-of-vocabulary tokens: a zero row
+    book = make_book("b", [{"a": 1}, {"zzz": 3}])
+    array = chunk_vectors(book, table, chunk_size=1)
+    assert np.allclose(array, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_chunk_vector_hand_sum():
     table = tiny_table({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-    cv = chunk_vector(Chunk(0, {"a": 1, "b": 1}, 2), table)
-    assert np.allclose(cv.vector, [4.0, 6.0])
+    array = chunk_vectors(make_book("b", [{"a": 1, "b": 1}]), table, chunk_size=10)
+    assert np.allclose(array, [[4.0, 6.0]])
 
 
 def test_book_vector_single_chunk_equals_chunk_vector():
     table = tiny_table({"a": [1.0, 1.0], "b": [0.5, -1.0]})
     book = make_book("b", [{"a": 2, "b": 1}])
-    chunks = chunk_book(book, chunk_size=10)
-    cv = chunk_vector(chunks[0], table)
-    assert np.allclose(book_vector(book, table), cv.vector)
+    array = chunk_vectors(book, table, chunk_size=10)
+    assert array.shape == (1, 2)
+    assert np.allclose(book_vector(book, table), array[0])
 
 
 def test_book_vector_hand_computed():
@@ -138,21 +136,17 @@ def test_book_vector_invariant_to_chunk_size(chunk_size):
         "b",
         [{"a": 40, "b": 3}, {"c": 17}, {"a": 5, "c": 2}, {"b": 60}],
     )
-    total = np.zeros(2)
-    for chunk in chunk_book(book, chunk_size):
-        total += chunk_vector(chunk, table).vector
+    total = chunk_vectors(book, table, chunk_size).sum(axis=0)
     assert np.allclose(total, book_vector(book, table))
 
 
 def test_chunk_vector_linearity_under_merge():
     table = tiny_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-    c1 = Chunk(0, {"a": 2}, 2)
-    c2 = Chunk(1, {"a": 1, "b": 4}, 5)
-    merged = Chunk(0, {"a": 3, "b": 4}, 7)
-    assert np.allclose(
-        chunk_vector(merged, table).vector,
-        chunk_vector(c1, table).vector + chunk_vector(c2, table).vector,
-    )
+    book = make_book("b", [{"a": 2}, {"a": 1, "b": 4}])
+    split = chunk_vectors(book, table, chunk_size=2)  # one chunk per page
+    merged = chunk_vectors(book, table, chunk_size=7)  # both pages in one chunk
+    assert split.shape == (2, 2) and merged.shape == (1, 2)
+    assert np.allclose(merged[0], split[0] + split[1])
 
 
 def test_chunk_vectors_array_shape():

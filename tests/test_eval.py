@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bookrel.corpus import book_word_count
 from bookrel.embed import chunk_vectors
 from bookrel.enumparse import relations_from_raw_catalog
 from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
+from bookrel import nn
 from bookrel.evaluation import (
+    SCORE_BATCH,
     ClassMetrics,
     ConfusionMatrix,
     ExperimentConfig,
@@ -14,7 +15,6 @@ from bookrel.evaluation import (
     compute_metrics,
     evaluate_model,
     f1_score,
-    filter_oversize,
     generate_demo_corpus,
     is_test_pair,
     macro_average,
@@ -22,6 +22,7 @@ from bookrel.evaluation import (
     ratio_sweep,
     run_condition,
     sample_diff_pairs,
+    score_pairs,
     split_examples,
     subsample,
     surface_overlaps,
@@ -29,8 +30,6 @@ from bookrel.evaluation import (
 )
 from bookrel.nn import ModelConfig, TrainConfig, init_model
 from bookrel.simmat import pad_truncate, pairwise_similarity
-
-from _support import uniform_book
 
 SW = RelationshipLabel.SW
 DV = RelationshipLabel.DV
@@ -81,10 +80,14 @@ def test_compute_metrics_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_micro_f1_equals_accuracy_exactly(seed):
+    """The MICRO[all] row reports the accuracy as the pooled F1: pooled over
+    all classes, every false positive is another class's false negative."""
     _, truths, predictions, confusion = random_confusion_case(seed)
     report = compute_metrics(confusion)
-    accuracy = sum(t == p for t, p in zip(truths, predictions)) / len(truths)
-    assert report.micro_f1 == accuracy
+    tp = sum(t == p for t, p in zip(truths, predictions))
+    fp = fn = len(truths) - tp
+    accuracy = tp / len(truths)
+    assert f1_score(tp / (tp + fp), tp / (tp + fn)) == accuracy
     assert report.accuracy == accuracy
 
 
@@ -100,7 +103,7 @@ def test_perfect_predictor_metrics():
         confusion.add(DV, DV)
     report = compute_metrics(confusion, macro_classes=[SW, DV])
     assert report.macro_f1 == 1.0
-    assert report.micro_f1 == 1.0
+    assert report.accuracy == 1.0
     for metrics in report.per_class:
         assert metrics.precision == metrics.recall == metrics.f1 == 1.0
 
@@ -169,20 +172,7 @@ def test_experiment_config_validation():
         ExperimentConfig(condition="bogus")
 
 
-# --- corpus filters -------------------------------------------------------------
-
-def test_filter_oversize_boundary():
-    keep = uniform_book("keep", 75, words_per_page=10_000)  # exactly 750k
-    drop = uniform_book("drop", 75, words_per_page=10_000)
-    drop = uniform_book("drop", 1, words_per_page=750_001)
-    out = filter_oversize([keep, drop])
-    assert [b.id for b in out] == ["keep"]
-    assert book_word_count(keep) == 750_000
-
-
-def test_filter_oversize_empty_ok():
-    assert filter_oversize([]) == []
-
+# --- pair sampling ----------------------------------------------------------------
 
 def test_sample_diff_pairs_cross_work_only():
     catalog = [(f"b{i}", f"w{i % 4}") for i in range(16)]
@@ -350,6 +340,23 @@ def test_run_condition_rejects_empty_training():
     with pytest.raises(ValueError):
         run_condition([], [], ExperimentConfig("nofake", 0.0, seed=0,
                                                train_config=quick_train_config()))
+
+
+# --- scoring ----------------------------------------------------------------------
+
+def test_score_pairs_slices_match_one_batch():
+    model = init_model(
+        ModelConfig(matrix_size=10, pair_dim=4, conv1_filters=2, conv2_filters=2,
+                    pair_hidden=3, merge_hidden=4),
+        [SW, DV, DIFF], seed=3,
+    )
+    examples = [make_example(f"l{i}", f"r{i}", SW, size=10, seed=i)
+                for i in range(SCORE_BATCH + 5)]
+    probs = score_pairs(model, examples)
+    whole = nn.forward(model, np.stack([ex.matrix.values for ex in examples]),
+                       np.stack([ex.pair_vector for ex in examples]))
+    assert probs.shape == (len(examples), 3)
+    assert np.allclose(probs, whole, rtol=0, atol=1e-6)
 
 
 # --- overlap surfacing ------------------------------------------------------------

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from bookrel.corpus import BookMetadata
 from bookrel.features import (
+    DEFAULT_MAX_WORDS,
+    MANIFEST_NAME,
     LabeledPair,
-    featurize_pair,
     featurize_pairs,
     load_features,
     read_labels,
@@ -36,10 +39,13 @@ def small_world():
 
 def test_featurize_pair_shapes(small_world):
     table, left, right = small_world
-    matrix, feats = featurize_pair(left, right, table, chunk_size=4, matrix_size=6)
-    assert matrix.size == 6
-    assert matrix.left_chunks >= 1 and matrix.right_chunks >= 1
-    assert feats.vector.size == 6  # 2 * dimension
+    pairs = [LabeledPair("L", "R", RelationshipLabel.SW)]
+    (example,), _ = featurize_pairs(
+        pairs, {"L": left, "R": right}, table, chunk_size=4, matrix_size=6
+    )
+    assert example.matrix.size == 6
+    assert example.matrix.left_chunks >= 1 and example.matrix.right_chunks >= 1
+    assert example.pair_vector.size == 6  # 2 * dimension
 
 
 def test_featurize_pairs_and_store_round_trip(tmp_path, small_world):
@@ -79,6 +85,19 @@ def test_featurize_pairs_skips_missing_and_oversize(small_world):
     assert len(examples) == 1
     assert skipped["missing_book"] == 1
     assert skipped["oversize"] == 1
+
+    # the default limit is inclusive: exactly 750 000 words is kept
+    keep = uniform_book("keep", 1, words_per_page=DEFAULT_MAX_WORDS)
+    drop = uniform_book("drop", 1, words_per_page=DEFAULT_MAX_WORDS + 1)
+    books = {"L": left, "keep": keep, "drop": drop}
+    pairs = [
+        LabeledPair("L", "keep", RelationshipLabel.DIFF),
+        LabeledPair("L", "drop", RelationshipLabel.DIFF),
+    ]
+    examples, skipped = featurize_pairs(pairs, books, table, chunk_size=4, matrix_size=6)
+    assert [ex.right_id for ex in examples] == ["keep"]
+    assert skipped["oversize"] == 1
+    assert DEFAULT_MAX_WORDS == 750_000
 
 
 def test_featurize_pairs_skips_truncated(small_world):
@@ -124,3 +143,32 @@ def test_read_labels_defaults_provenance(tmp_path):
     path.write_text("left_id\tright_id\tlabel\nx\ty\tDV\n", encoding="utf-8")
     pairs = read_labels(path)
     assert pairs == [LabeledPair("x", "y", RelationshipLabel.DV, "real")]
+
+
+def test_read_labels_short_row_names_file_and_line(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("left_id\tright_id\tlabel\nx\ty\tDV\nx\ty\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 3 fields, got 2")):
+        read_labels(path)
+
+
+@pytest.mark.parametrize("bad_index", ["2", "-1"])
+def test_load_features_index_outside_count_names_file_and_line(
+    tmp_path, small_world, bad_index
+):
+    table, left, right = small_world
+    pairs = [
+        LabeledPair("L", "R", RelationshipLabel.SW),
+        LabeledPair("R", "L", RelationshipLabel.SW),
+    ]
+    examples, _ = featurize_pairs(
+        pairs, {"L": left, "R": right}, table, chunk_size=4, matrix_size=6
+    )
+    write_features(examples, tmp_path, chunk_size=4, matrix_size=6)
+    manifest = tmp_path / MANIFEST_NAME
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = bad_index + lines[2][1:]
+    manifest.write_text("".join(lines), encoding="utf-8")
+    message = f"{manifest}:3: index '{bad_index}' is outside 0..1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)

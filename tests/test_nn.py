@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bookrel.evaluation import evaluate_model
 from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
 from bookrel.nn import (
@@ -9,6 +10,8 @@ from bookrel.nn import (
     ModelConfig,
     TrainConfig,
     TrainingDivergedError,
+    _backward_batch,
+    _forward_batch,
     conv2d,
     conv2d_backward,
     cross_entropy,
@@ -18,7 +21,6 @@ from bookrel.nn import (
     load_model,
     maxpool2,
     maxpool2_backward,
-    predict,
     save_model,
     softmax,
     train,
@@ -38,6 +40,11 @@ TINY = ModelConfig(
 def tiny_example(rng, label=SW, size=10, pair_dim=6):
     matrix = pad_truncate(rng.uniform(-1, 1, size=(size, size)), size)
     return PairExample("L", "R", matrix, rng.standard_normal(pair_dim), label, "real")
+
+
+def forward_one(model, matrix, pair_vector):
+    """Probabilities for one example, passed as a batch of one."""
+    return forward(model, np.asarray(matrix)[None], np.asarray(pair_vector)[None])[0]
 
 
 # --- kernel oracles ----------------------------------------------------------
@@ -133,7 +140,7 @@ def test_forward_probabilities_sum_to_one():
     model = init_model(TINY, [SW, DV, DIFF], seed=0)
     for _ in range(5):
         ex = tiny_example(rng)
-        probs = forward(model, ex.matrix, ex.pair_vector)
+        probs = forward_one(model, ex.matrix.values, ex.pair_vector)
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert (probs >= 0).all()
@@ -143,17 +150,17 @@ def test_forward_deterministic_without_dropout():
     rng = np.random.default_rng(5)
     model = init_model(TINY, [SW, DV], seed=1)
     ex = tiny_example(rng)
-    one = forward(model, ex.matrix, ex.pair_vector)
-    two = forward(model, ex.matrix, ex.pair_vector)
+    one = forward_one(model, ex.matrix.values, ex.pair_vector)
+    two = forward_one(model, ex.matrix.values, ex.pair_vector)
     assert np.array_equal(one, two)
 
 
 def test_forward_shape_mismatch_rejected():
     model = init_model(TINY, [SW, DV], seed=0)
     with pytest.raises(ValueError):
-        forward(model, np.zeros((12, 12)), np.zeros(6))
+        forward_one(model, np.zeros((12, 12)), np.zeros(6))
     with pytest.raises(ValueError):
-        forward(model, np.zeros((10, 10)), np.zeros(9))
+        forward_one(model, np.zeros((10, 10)), np.zeros(9))
 
 
 def test_forward_zero_input_follows_bias_path():
@@ -176,7 +183,7 @@ def test_forward_zero_input_follows_bias_path():
     p["out_w"][:] = 0.02
     p["out_b"][:] = np.array([0.1, 0.2, 0.3], dtype=np.float32)
 
-    probs = forward(model, np.zeros((10, 10)), np.zeros(4))
+    probs = forward_one(model, np.zeros((10, 10)), np.zeros(4))
 
     # hand trace: conv1 -> 0.1 map; conv2 -> 0.2 map; flat entries all 0.2
     _, _, _, p2, flat_width = config.conv_stack_sizes()
@@ -225,9 +232,10 @@ def test_zero_learning_signal_when_prediction_is_one_hot():
     model = init_model(TINY, [SW, DV, DIFF], seed=4)
     model.params["out_b"][:] = np.array([60.0, 0.0, 0.0], dtype=np.float32)
     ex = tiny_example(np.random.default_rng(9), label=SW)
-    from bookrel.nn import backward
-
-    grads = backward(model.astype(np.float64), ex, SW)
+    model64 = model.astype(np.float64)
+    probs, cache = _forward_batch(model64, ex.matrix.values[None], ex.pair_vector[None])
+    _, dlogits = cross_entropy(probs, cache["logits"], np.array([0]))
+    grads = _backward_batch(model64, cache, dlogits)
     assert np.abs(grads["out_b"]).max() < 1e-12
 
 
@@ -269,8 +277,8 @@ def test_train_learns_separable_toy_set():
     config = TrainConfig(epochs=50, batch_size=4, learning_rate=1e-3, seed=0,
                          dropout_flat=0.0, dropout_pair=0.0)
     model, history = train(dataset, config)
-    correct = sum(predict(model, ex)[0] == ex.label for ex in dataset)
-    assert correct / len(dataset) >= 0.95
+    confusion = evaluate_model(model, dataset)
+    assert np.trace(confusion.counts) / len(dataset) >= 0.95
     assert len(history) == 50
 
 
@@ -319,16 +327,21 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
-# --- predict ---------------------------------------------------------------------
+# --- predicted labels, as evaluate_model assigns them ----------------------------
+
+def predicted_label(model, example):
+    confusion = evaluate_model(model, [example], model.class_list)
+    return model.class_list[int(confusion.counts.sum(axis=0).argmax())]
+
 
 def test_predict_argmax_and_tie_break():
     model = init_model(TINY, [SW, DV, DIFF], seed=0)
     model.params["out_w"][:] = 0.0
     model.params["out_b"][:] = 0.0
-    ex = tiny_example(np.random.default_rng(11))
-    label, probs = predict(model, ex)
-    assert np.allclose(probs, 1 / 3)
-    assert label is SW  # exact tie resolves to the lowest class index
+    ex = tiny_example(np.random.default_rng(11), label=DIFF)
+    probs = forward_one(model, ex.matrix.values, ex.pair_vector)
+    assert np.array_equal(probs, np.full(3, 1 / 3))
+    assert predicted_label(model, ex) is SW  # exact tie resolves to the lowest class index
 
 
 def test_predict_matches_probability_argmax():
@@ -336,8 +349,8 @@ def test_predict_matches_probability_argmax():
     model = init_model(TINY, [SW, DV, DIFF], seed=5)
     for _ in range(5):
         ex = tiny_example(rng)
-        label, probs = predict(model, ex)
-        assert label == model.class_list[int(np.argmax(probs))]
+        probs = forward_one(model, ex.matrix.values, ex.pair_vector)
+        assert predicted_label(model, ex) == model.class_list[int(np.argmax(probs))]
 
 
 # --- serialization ------------------------------------------------------------------
@@ -351,8 +364,8 @@ def test_save_load_bit_identical_forward(tmp_path):
     again = load_model(path)
     assert again.class_list == model.class_list
     for ex in dataset[:3]:
-        a = forward(model, ex.matrix, ex.pair_vector)
-        b = forward(again, ex.matrix, ex.pair_vector)
+        a = forward_one(model, ex.matrix.values, ex.pair_vector)
+        b = forward_one(again, ex.matrix.values, ex.pair_vector)
         assert np.array_equal(a, b)
 
 
