@@ -29,7 +29,7 @@ from . import nn
 from .nn import ClassifierModel, ModelConfig, TrainConfig
 
 TEST_BUCKET_PERCENT = 20  # fixed 80/20 split on a hash of the pair ids
-SCORE_BATCH = 32  # pairs per forward pass when scoring; about 3 MB each at side 150
+SCORE_BATCH = 32  # pairs per forward pass when scoring; at most about 3 MB each at side 150
 
 
 # --- metrics ------------------------------------------------------------------
@@ -122,14 +122,25 @@ def compute_metrics(
 
 
 def score_pairs(model: ClassifierModel, examples: Sequence[PairExample]) -> np.ndarray:
-    """Class probabilities, one row per example, computed SCORE_BATCH examples
-    at a time so that memory stays bounded however many pairs are scored."""
+    """Class probabilities, one row per example in input order.
+
+    Examples are ordered by (left, right) chunk counts and scored
+    SCORE_BATCH at a time, so memory stays bounded however many pairs are
+    scored and each slice holds matrices of similar extent, which nn.forward
+    crops together. A pair's probabilities can differ in their last bits (up
+    to about 1e-5) with the pairs that share its slice, because BLAS picks
+    its kernel by matrix shape; for a fixed list of examples they are
+    deterministic."""
+    order = sorted(
+        range(len(examples)),
+        key=lambda i: (examples[i].matrix.left_chunks, examples[i].matrix.right_chunks),
+    )
     probs = np.zeros((len(examples), len(model.class_list)))
-    for start in range(0, len(examples), SCORE_BATCH):
-        batch = examples[start : start + SCORE_BATCH]
-        mats = np.stack([ex.matrix.values for ex in batch])
-        pairs = np.stack([np.asarray(ex.pair_vector) for ex in batch])
-        probs[start : start + len(batch)] = nn.forward(model, mats, pairs)
+    for start in range(0, len(order), SCORE_BATCH):
+        rows = order[start : start + SCORE_BATCH]
+        mats = np.stack([examples[i].matrix.values for i in rows])
+        pairs = np.stack([np.asarray(examples[i].pair_vector) for i in rows])
+        probs[rows] = nn.forward(model, mats, pairs)
     return probs
 
 

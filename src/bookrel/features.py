@@ -180,17 +180,29 @@ def load_features(directory: str | Path) -> list[PairExample]:
                 raise ValueError(f"{manifest}:{line_no}: index {index_s!r} is outside "
                                  f"0..{len(vectors) - 1}")
             index = int(index_s)
+            where = f"{manifest}:{line_no}"
+            try:
+                matrix = load_matrix(directory / matrix_file)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
             examples.append(
                 PairExample(
                     left_id,
                     right_id,
-                    load_matrix(directory / matrix_file),
+                    matrix,
                     vectors[index].astype(np.float64),
-                    RelationshipLabel(label),
+                    _parse_label(label, where),
                     provenance,
                 )
             )
     return examples
+
+
+def _parse_label(value: str, where: str) -> RelationshipLabel:
+    try:
+        return RelationshipLabel(value)
+    except ValueError:
+        raise ValueError(f"{where}: unknown label {value!r}") from None
 
 
 LABELS_COLUMNS = ("left_id", "right_id", "label", "provenance")
@@ -224,6 +236,7 @@ def read_labels(path: str | Path, default_provenance: str = "real") -> list[Labe
                 )
             provenance = fields[3] if has_provenance else default_provenance
             pairs.append(
-                LabeledPair(fields[0], fields[1], RelationshipLabel(fields[2]), provenance)
+                LabeledPair(fields[0], fields[1],
+                            _parse_label(fields[2], f"{path}:{line_no}"), provenance)
             )
     return pairs

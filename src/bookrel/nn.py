@@ -6,6 +6,16 @@ feature vector passes through a dense ReLU layer with its own dropout. Both
 branches are concatenated, pushed through a dense ReLU layer, and projected
 to class logits with a softmax head.
 
+Matrices are zero-padded top-left to the model's side and are mostly
+padding, so the conv/pool stack runs only where their nonzero cells reach.
+A batch's examples are sorted by occupied extent (last nonzero row or
+column) and cut into groups of CONV_GROUP; conv1 -> pool1 -> conv2 -> pool2
+runs on each group's top-left crop, the smallest that holds every pool2 cell
+its nonzeros can reach. Everything outside the crops is one constant per
+channel, because a zero input there reduces each layer to its bias path; its
+pool2 values and its backward terms are filled in closed form. Results equal
+the full-side computation up to float32 rounding.
+
 Everything is plain numpy: forward, backpropagation, Adam updates, and a
 finite-difference gradient checker that verifies the analytic gradients.
 Training is a pure function of (dataset order, config, seed).
@@ -27,6 +37,10 @@ from .labels import RelationshipLabel, canonical_class_list
 
 MODEL_MAGIC = b"BKRM"
 MODEL_VERSION = 1
+# examples per cropped conv/pool run: one crop per whole batch pads small
+# matrices up to the batch's largest; groups of 4 lose to per-call overhead
+# at side 32
+CONV_GROUP = 8
 
 PARAM_ORDER = (
     "conv1_w", "conv1_b",
@@ -209,6 +223,27 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.nda
 
 # --- forward / backward -----------------------------------------------------
 
+def _occupied_extents(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per example, one past the last nonzero row and one past the last
+    nonzero column; 0 for an all-zero matrix."""
+    side = matrices.shape[1]
+    nonzero = matrices != 0
+
+    def last(lines: np.ndarray) -> np.ndarray:
+        return np.where(lines.any(axis=1), side - lines[:, ::-1].argmax(axis=1), 0)
+
+    return last(nonzero.any(axis=2)), last(nonzero.any(axis=1))
+
+
+def _crop_side(extent: int, config: ModelConfig) -> int:
+    """Crop length along one axis whose pool2 output holds every pool2 cell
+    that an occupied extent e reaches along it: ceil(ceil(e/2)/2) cells, at
+    least one so that conv2's window fits, need 4 cells + 3(k-1) inputs."""
+    pool1_cells = -(-extent // 2)
+    cells = max(-(-pool1_cells // 2), 1)
+    return min(4 * cells + 3 * (config.kernel_size - 1), config.matrix_size)
+
+
 def _forward_batch(
     model: ClassifierModel,
     matrices: np.ndarray,
@@ -218,7 +253,8 @@ def _forward_batch(
 ) -> tuple[np.ndarray, dict]:
     """Batched forward pass; the cache holds every intermediate needed by
     backpropagation. Dropout (inverted, so inference needs no rescaling) is
-    applied only in train mode."""
+    applied only in train mode, drawn over the whole flattened batch in
+    batch order."""
     p = model.params
     dtype = p["out_w"].dtype
     cfg = model.config
@@ -236,12 +272,33 @@ def _forward_batch(
     x = matrices.astype(dtype, copy=False)[..., None]
     pairs = pair_vectors.astype(dtype, copy=False)
 
-    z1 = conv2d(x, p["conv1_w"]) + p["conv1_b"]
-    a1 = np.maximum(z1, 0)
-    p1, idx1 = maxpool2(a1)
-    z2 = conv2d(p1, p["conv2_w"]) + p["conv2_b"]
-    a2 = np.maximum(z2, 0)
-    p2, idx2 = maxpool2(a2)
+    # far field: x = 0, so z1 = conv1_b and z2 = conv2_b + sum_ij w2[i,j]^T c1
+    c1 = np.maximum(p["conv1_b"], 0)
+    k2 = p["conv2_b"] + c1 @ p["conv2_w"].sum(axis=(0, 1))
+    *_, side2, _ = cfg.conv_stack_sizes()
+    p2 = np.empty((len(x), side2, side2, cfg.conv2_filters), dtype=dtype)
+    p2[:] = np.maximum(k2, 0)
+
+    rows, cols = _occupied_extents(matrices)
+    order = np.argsort(np.maximum(rows, cols), kind="stable")
+    groups = []
+    for start in range(0, len(order), CONV_GROUP):
+        members = order[start : start + CONV_GROUP]
+        height = _crop_side(int(rows[members].max()), cfg)
+        width = _crop_side(int(cols[members].max()), cfg)
+        xg = x[members, :height, :width]
+        z1 = conv2d(xg, p["conv1_w"]) + p["conv1_b"]
+        a1 = np.maximum(z1, 0)
+        p1, idx1 = maxpool2(a1)
+        z2 = conv2d(p1, p["conv2_w"]) + p["conv2_b"]
+        a2 = np.maximum(z2, 0)
+        p2g, idx2 = maxpool2(a2)
+        cell_rows, cell_cols = p2g.shape[1:3]
+        p2[members, :cell_rows, :cell_cols] = p2g
+        groups.append({
+            "members": members, "x": xg, "z1": z1, "p1": p1, "idx1": idx1,
+            "a1_shape": a1.shape, "z2": z2, "idx2": idx2, "a2_shape": a2.shape,
+        })
     flat = p2.reshape(p2.shape[0], -1)
 
     if train_mode and cfg.dropout_flat > 0:
@@ -267,8 +324,7 @@ def _forward_batch(
     probs = softmax(logits)
 
     cache = {
-        "x": x, "z1": z1, "p1": p1, "idx1": idx1, "a1_shape": a1.shape,
-        "z2": z2, "idx2": idx2, "a2_shape": a2.shape, "p2_shape": p2.shape,
+        "groups": groups, "c1": c1, "k2": k2, "p2_shape": p2.shape,
         "flat_kept": flat_kept, "mask_flat": mask_flat,
         "pairs": pairs, "zp": zp, "mask_pair": mask_pair,
         "joined": joined, "zm": zm, "am": am, "logits": logits, "probs": probs,
@@ -300,20 +356,43 @@ def _backward_batch(model: ClassifierModel, cache: dict, dlogits: np.ndarray) ->
 
     d_flat = d_flat_kept if cache["mask_flat"] is None else d_flat_kept * cache["mask_flat"]
     d_p2 = d_flat.reshape(cache["p2_shape"])
-    d_a2 = maxpool2_backward(d_p2, cache["idx2"], cache["a2_shape"])
-    d_z2 = d_a2 * (cache["z2"] > 0)
-    grads["conv2_w"], grads["conv2_b"], d_p1 = conv2d_backward(
-        cache["p1"], p["conv2_w"], d_z2
-    )
-    d_a1 = maxpool2_backward(d_p1, cache["idx1"], cache["a1_shape"])
-    d_z1 = d_a1 * (cache["z1"] > 0)
-    dw1 = np.tensordot(
-        sliding_window_view(cache["x"], (model.config.kernel_size,) * 2, axis=(1, 2)),
-        d_z1,
-        axes=([0, 1, 2], [0, 1, 2]),
-    ).transpose(1, 2, 0, 3)
-    grads["conv1_w"] = dw1
-    grads["conv1_b"] = d_z1.sum(axis=(0, 1, 2))
+    k = model.config.kernel_size
+    dw1 = np.zeros_like(p["conv1_w"])
+    db1 = np.zeros_like(p["conv1_b"])
+    dw2 = np.zeros_like(p["conv2_w"])
+    db2 = np.zeros_like(p["conv2_b"])
+    # d_p2 summed over the cells outside the crops, directly rather than as
+    # the total minus the inside, which would cancel in float32
+    far = np.zeros_like(p["conv2_b"])
+    for g in cache["groups"]:
+        d_group = d_p2[g["members"]]
+        cell_rows, cell_cols = g["idx2"].shape[1:3]
+        far += d_group[:, cell_rows:].sum(axis=(0, 1, 2))
+        far += d_group[:, :cell_rows, cell_cols:].sum(axis=(0, 1, 2))
+        d_a2 = maxpool2_backward(
+            d_group[:, :cell_rows, :cell_cols], g["idx2"], g["a2_shape"]
+        )
+        d_z2 = d_a2 * (g["z2"] > 0)
+        gw2, gb2, d_p1 = conv2d_backward(g["p1"], p["conv2_w"], d_z2)
+        dw2 += gw2
+        db2 += gb2
+        d_a1 = maxpool2_backward(d_p1, g["idx1"], g["a1_shape"])
+        d_z1 = d_a1 * (g["z1"] > 0)
+        dw1 += np.tensordot(
+            sliding_window_view(g["x"], (k, k), axis=(1, 2)),
+            d_z1,
+            axes=([0, 1, 2], [0, 1, 2]),
+        ).transpose(1, 2, 0, 3)
+        db1 += d_z1.sum(axis=(0, 1, 2))
+    # far field: each constant pool window routes to one z2 = k2 cell whose
+    # conv2 window holds c1 = relu(conv1_b) everywhere, and that window's
+    # gradient reaches z1 = conv1_b cells over all-zero inputs (no dw1 term)
+    d_far = far * (cache["k2"] > 0)
+    db2 += d_far
+    dw2 += np.multiply.outer(cache["c1"], d_far)
+    db1 += (p["conv1_b"] > 0) * (p["conv2_w"].sum(axis=(0, 1)) @ d_far)
+    grads["conv1_w"], grads["conv1_b"] = dw1, db1
+    grads["conv2_w"], grads["conv2_b"] = dw2, db2
     return grads
 
 

@@ -359,6 +359,27 @@ def test_score_pairs_slices_match_one_batch():
     assert np.allclose(probs, whole, rtol=0, atol=1e-6)
 
 
+def test_score_pairs_returns_rows_in_input_order():
+    side = 24
+    model = init_model(
+        ModelConfig(matrix_size=side, pair_dim=4, conv1_filters=2, conv2_filters=2,
+                    pair_hidden=3, merge_hidden=4),
+        [SW, DV, DIFF], seed=4,
+    )
+    rng = np.random.default_rng(5)
+    examples = []
+    for i in range(SCORE_BATCH + 9):
+        rows, cols = rng.integers(1, side + 1, size=2)
+        matrix = pad_truncate(rng.uniform(-1, 1, (rows, cols)), side)
+        examples.append(PairExample(f"l{i}", f"r{i}", matrix, rng.standard_normal(4),
+                                    SW, "real"))
+    probs = score_pairs(model, examples)
+    assert probs.shape == (len(examples), 3)
+    for ex, row in zip(examples, probs):
+        alone = nn.forward(model, ex.matrix.values[None], ex.pair_vector[None])[0]
+        assert np.allclose(row, alone, rtol=0, atol=1e-5)
+
+
 # --- overlap surfacing ------------------------------------------------------------
 
 def test_surface_overlaps_requires_overlap_class():

@@ -152,10 +152,8 @@ def test_read_labels_short_row_names_file_and_line(tmp_path):
         read_labels(path)
 
 
-@pytest.mark.parametrize("bad_index", ["2", "-1"])
-def test_load_features_index_outside_count_names_file_and_line(
-    tmp_path, small_world, bad_index
-):
+def written_store(tmp_path, small_world):
+    """A two-record feature store and its manifest's lines."""
     table, left, right = small_world
     pairs = [
         LabeledPair("L", "R", RelationshipLabel.SW),
@@ -166,9 +164,39 @@ def test_load_features_index_outside_count_names_file_and_line(
     )
     write_features(examples, tmp_path, chunk_size=4, matrix_size=6)
     manifest = tmp_path / MANIFEST_NAME
-    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    return manifest, manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("bad_index", ["2", "-1"])
+def test_load_features_index_outside_count_names_file_and_line(
+    tmp_path, small_world, bad_index
+):
+    manifest, lines = written_store(tmp_path, small_world)
     lines[2] = bad_index + lines[2][1:]
     manifest.write_text("".join(lines), encoding="utf-8")
     message = f"{manifest}:3: index '{bad_index}' is outside 0..1"
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)
+
+
+def test_read_labels_unknown_label_names_file_and_line(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("left_id\tright_id\tlabel\nx\ty\tDV\nx\ty\tXX\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: unknown label 'XX'")):
+        read_labels(path)
+
+
+def test_load_features_unknown_label_names_file_and_line(tmp_path, small_world):
+    manifest, lines = written_store(tmp_path, small_world)
+    lines[2] = lines[2].replace("\tSW\t", "\tXX\t")
+    manifest.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: unknown label 'XX'")):
+        load_features(tmp_path)
+
+
+def test_load_features_bad_matrix_names_manifest_line(tmp_path, small_world):
+    manifest, lines = written_store(tmp_path, small_world)
+    matrix_file = tmp_path / lines[2].rstrip("\n").split("\t")[-1]
+    matrix_file.write_bytes(matrix_file.read_bytes()[:-4])
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: {matrix_file}: expected")):
         load_features(tmp_path)

@@ -5,6 +5,7 @@ from bookrel.evaluation import evaluate_model
 from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
 from bookrel.nn import (
+    CONV_GROUP,
     AdamState,
     ClassifierModel,
     ModelConfig,
@@ -219,6 +220,105 @@ def test_gradient_check_each_branch_alone():
         "L", "R", pad_truncate(rng.uniform(-1, 1, (10, 10)), 10), np.zeros(6), DV, "real"
     )
     assert gradient_check(model, only_matrix, eps=1e-4) < 1e-4
+
+
+def partly_filled(rng, rows, cols, size):
+    """A zero-padded matrix whose top-left rows x cols block is random."""
+    return pad_truncate(rng.uniform(-1, 1, (rows, cols)), size)
+
+
+def test_gradient_check_partly_filled_matrices():
+    """Crops smaller than the side, so the far-field terms are checked too."""
+    rng = np.random.default_rng(13)
+    config = ModelConfig(
+        matrix_size=24, pair_dim=6, conv1_filters=2, conv2_filters=3,
+        pair_hidden=4, merge_hidden=5, dropout_flat=0.0, dropout_pair=0.0,
+    )
+    model = init_model(config, [SW, DV, DIFF], seed=5)
+    # biases of both signs and off zero: the far field sits on them
+    model.params["conv1_b"][:] = [0.3, -0.2]
+    model.params["conv2_b"][:] = [0.25, -0.15, 0.1]
+    for name in ("pair_b", "merge_b"):
+        model.params[name][:] = rng.standard_normal(model.params[name].shape) * 0.3
+    for rows, cols, label in ((1, 1, SW), (5, 3, DV), (2, 9, DIFF)):
+        ex = PairExample("L", "R", partly_filled(rng, rows, cols, 24),
+                         rng.standard_normal(6), label, "real")
+        assert gradient_check(model, ex, eps=1e-4) < 1e-6
+
+
+def full_side_oracle(model, mats, pairs, targets, rng):
+    """Probabilities, loss and gradients with conv/pool over the full padded
+    side, built from the public kernels; dropout masks are drawn over the
+    flattened batch in batch order, flat first."""
+    p, cfg = model.params, model.config
+    x = mats[..., None]
+    z1 = conv2d(x, p["conv1_w"]) + p["conv1_b"]
+    a1 = np.maximum(z1, 0)
+    p1, idx1 = maxpool2(a1)
+    z2 = conv2d(p1, p["conv2_w"]) + p["conv2_b"]
+    a2 = np.maximum(z2, 0)
+    p2, idx2 = maxpool2(a2)
+    flat = p2.reshape(len(x), -1)
+    mask_flat = (rng.random(flat.shape) >= cfg.dropout_flat) / (1 - cfg.dropout_flat)
+    zp = pairs @ p["pair_w"] + p["pair_b"]
+    ap = np.maximum(zp, 0)
+    mask_pair = (rng.random(ap.shape) >= cfg.dropout_pair) / (1 - cfg.dropout_pair)
+    joined = np.concatenate([flat * mask_flat, ap * mask_pair], axis=1)
+    zm = joined @ p["merge_w"] + p["merge_b"]
+    am = np.maximum(zm, 0)
+    logits = am @ p["out_w"] + p["out_b"]
+    probs = softmax(logits)
+    loss, dlogits = cross_entropy(probs, logits, targets)
+
+    g = {"out_b": dlogits.sum(axis=0), "out_w": am.T @ dlogits}
+    d_zm = (dlogits @ p["out_w"].T) * (zm > 0)
+    g["merge_b"], g["merge_w"] = d_zm.sum(axis=0), joined.T @ d_zm
+    d_joined = d_zm @ p["merge_w"].T
+    d_zp = d_joined[:, flat.shape[1]:] * mask_pair * (zp > 0)
+    g["pair_b"], g["pair_w"] = d_zp.sum(axis=0), pairs.T @ d_zp
+    d_p2 = (d_joined[:, : flat.shape[1]] * mask_flat).reshape(p2.shape)
+    d_z2 = maxpool2_backward(d_p2, idx2, a2.shape) * (z2 > 0)
+    g["conv2_w"], g["conv2_b"], d_p1 = conv2d_backward(p1, p["conv2_w"], d_z2)
+    d_z1 = maxpool2_backward(d_p1, idx1, a1.shape) * (z1 > 0)
+    g["conv1_w"], g["conv1_b"], _ = conv2d_backward(x, p["conv1_w"], d_z1)
+    return probs, loss, g
+
+
+def test_grouped_conv_stack_matches_full_side_oracle():
+    side = 40
+    config = ModelConfig(
+        matrix_size=side, pair_dim=6, conv1_filters=4, conv2_filters=5,
+        pair_hidden=4, merge_hidden=6, dropout_flat=0.5, dropout_pair=0.25,
+    )
+    model = init_model(config, [SW, DV, DIFF], seed=2).astype(np.float64)
+    model.params["conv1_b"][:] = [0.3, -0.2, 0.1, -0.4]
+    model.params["conv2_b"][:] = [0.2, -0.3, 0.05, -0.1, 0.4]
+    rng = np.random.default_rng(14)
+    # more than one group, in an order unlike the extents' order
+    shapes = [(side, side), (1, 1), (0, 0), (3, 17), (25, 2), (9, 9), (40, 5),
+              (2, 2), (14, 30), (6, 1), (1, 33), (18, 18)]
+    assert len(shapes) > CONV_GROUP
+    mats = np.stack([partly_filled(rng, r, c, side).values if r else np.zeros((side, side))
+                     for r, c in shapes])
+    pairs = rng.standard_normal((len(shapes), 6))
+    targets = rng.integers(0, 3, len(shapes))
+
+    probs, cache = _forward_batch(model, mats, pairs, train_mode=True,
+                                  rng=np.random.default_rng(15))
+    loss, dlogits = cross_entropy(probs, cache["logits"], targets)
+    grads = _backward_batch(model, cache, dlogits)
+    want_probs, want_loss, want_grads = full_side_oracle(
+        model, mats, pairs, targets, np.random.default_rng(15)
+    )
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    assert close(probs, want_probs)
+    assert loss == pytest.approx(want_loss, rel=1e-9)
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert close(grads[name], want), name
 
 
 def test_gradient_check_rejects_zero_eps():
