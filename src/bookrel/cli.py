@@ -26,7 +26,6 @@ from .corpus import (
     book_word_count,
     load_book,
     load_corpus,
-    read_manifest,
     save_book,
     write_manifest,
 )
@@ -52,6 +51,9 @@ from .features import (
 from .labels import RelationshipLabel
 from .nn import TrainConfig, load_model, save_model, train
 from .simmat import DEFAULT_MATRIX_SIZE
+from .tsv import read_tsv, write_tsv
+
+CATALOG_COLUMNS = ("book_id", "work_key", "enumeration_raw")
 
 
 def _eprint(*args) -> None:
@@ -107,10 +109,7 @@ def cmd_gen_demo_corpus(args) -> int:
         save_book(book, out / rel)
         entries.append((book.id, rel, book_word_count(book)))
     write_manifest(entries, out / "manifest.tsv")
-    with open(out / "catalog.tsv", "w", encoding="utf-8") as handle:
-        handle.write("book_id\twork_key\tenumeration_raw\n")
-        for book_id, work_key, raw in demo.catalog:
-            handle.write(f"{book_id}\t{work_key}\t{raw}\n")
+    write_tsv(out / "catalog.tsv", CATALOG_COLUMNS, demo.catalog)
     save_embeddings(demo.embeddings, out / "embeddings.txt")
     _eprint(f"gen-demo-corpus: {len(demo.books)} books -> {out}")
     _write_run_manifest(
@@ -143,25 +142,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _read_catalog(path: Path) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if header != ["book_id", "work_key", "enumeration_raw"]:
-            raise ValueError(f"{path}: bad catalog header {header}")
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
-            rows.append(tuple(fields))
-    return rows
-
-
 def cmd_infer_labels(args) -> int:
     started = time.time()
-    catalog = _read_catalog(Path(args.catalog))
+    catalog = [tuple(fields) for _, fields in read_tsv(args.catalog, CATALOG_COLUMNS)]
     relations, skipped = relations_from_raw_catalog(catalog)
     pairs = [
         LabeledPair(rel.left_id, rel.right_id, rel.label, "real") for rel in relations
@@ -293,7 +276,7 @@ def cmd_train(args) -> int:
     )
     _write_run_manifest(out, "train",
                         {"features": args.features,
-                         "train_config": {**config.__dict__, "class_weights": None}},
+                         "train_config": config.__dict__},
                         {"seed": config.seed}, [args.features], [str(out)], started)
     return 0
 
@@ -304,29 +287,31 @@ def _split_by_provenance(examples):
     return real, synthetic
 
 
+METRICS_COLUMNS = ("label", "precision", "recall", "f1", "support")
+
+
+def _class_rows(metrics) -> list[tuple]:
+    """The per-class rows of metrics.tsv and sweep.tsv, in METRICS_COLUMNS."""
+    return [(m.label.value, f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}",
+             m.support) for m in metrics.per_class]
+
+
 def _write_metrics_tsv(report, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("label\tprecision\trecall\tf1\tsupport\n")
-        for m in report.metrics.per_class:
-            handle.write(
-                f"{m.label.value}\t{m.precision:.6f}\t{m.recall:.6f}\t"
-                f"{m.f1:.6f}\t{m.support}\n"
-            )
-        handle.write(
-            f"MACRO[{'+'.join(c.value for c in report.metrics.macro_classes)}]\t"
-            f"\t\t{report.metrics.macro_f1:.6f}\t\n"
-        )
+    metrics = report.metrics
+    macro = f"MACRO[{'+'.join(c.value for c in metrics.macro_classes)}]"
+    write_tsv(path, METRICS_COLUMNS, [
+        *_class_rows(metrics),
+        (macro, "", "", f"{metrics.macro_f1:.6f}", ""),
         # the pooled (micro) F1 of single-label data is the accuracy
-        handle.write(f"MICRO[all]\t\t\t{report.metrics.accuracy:.6f}\t\n")
+        ("MICRO[all]", "", "", f"{metrics.accuracy:.6f}", ""),
+    ])
 
 
 def _write_confusion_tsv(confusion, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        labels = [c.value for c in confusion.class_list]
-        handle.write("true\\predicted\t" + "\t".join(labels) + "\n")
-        for i, label in enumerate(labels):
-            row = "\t".join(str(int(v)) for v in confusion.counts[i])
-            handle.write(f"{label}\t{row}\n")
+    labels = [c.value for c in confusion.class_list]
+    write_tsv(path, ("true\\predicted", *labels),
+              [(label, *(int(v) for v in confusion.counts[i]))
+               for i, label in enumerate(labels)])
 
 
 def cmd_evaluate(args) -> int:
@@ -360,7 +345,7 @@ def cmd_evaluate(args) -> int:
     _write_run_manifest(out, "evaluate",
                         {"features": args.features, "condition": args.condition,
                          "synth_fraction": config.synth_fraction,
-                         "train_config": {**train_config.__dict__, "class_weights": None}},
+                         "train_config": train_config.__dict__},
                         {"seed": config.seed}, [args.features],
                         ["metrics.tsv", "confusion.tsv", "summary.txt"], started)
     return 0
@@ -375,32 +360,19 @@ def cmd_sweep(args) -> int:
     rows = ratio_sweep(real, synthetic, fractions, seed, train_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.tsv", "w", encoding="utf-8") as tsv, open(
-        out / "sweep.csv", "w", encoding="utf-8"
-    ) as csv:
-        header = "fraction\tratio\tlabel\tprecision\trecall\tf1\tsupport\n"
-        tsv.write(header)
-        csv.write(header.replace("\t", ","))
-        for row in rows:
-            for m in row.report.metrics.per_class:
-                line = (
-                    f"{row.fraction:g}\t{row.ratio:.4f}\t{m.label.value}\t"
-                    f"{m.precision:.6f}\t{m.recall:.6f}\t{m.f1:.6f}\t{m.support}\n"
-                )
-                tsv.write(line)
-                csv.write(line.replace("\t", ","))
-            macro_line = (
-                f"{row.fraction:g}\t{row.ratio:.4f}\tMACRO_WHOLE_PART\t\t\t"
-                f"{row.report.metrics.macro_f1:.6f}\t\n"
-            )
-            tsv.write(macro_line)
-            csv.write(macro_line.replace("\t", ","))
+    table = []
+    for row in rows:
+        prefix = (f"{row.fraction:g}", f"{row.ratio:.4f}")
+        table += [(*prefix, *fields) for fields in _class_rows(row.report.metrics)]
+        table.append((*prefix, "MACRO_WHOLE_PART", "", "",
+                      f"{row.report.metrics.macro_f1:.6f}", ""))
+    write_tsv(out / "sweep.tsv", ("fraction", "ratio", *METRICS_COLUMNS), table)
     _eprint(f"sweep: fractions {fractions} -> {out}")
     _write_run_manifest(out, "sweep",
                         {"features": args.features, "fractions": fractions,
-                         "train_config": {**train_config.__dict__, "class_weights": None}},
+                         "train_config": train_config.__dict__},
                         {"seed": seed}, [args.features],
-                        ["sweep.tsv", "sweep.csv"], started)
+                        ["sweep.tsv"], started)
     return 0
 
 
@@ -411,13 +383,9 @@ def cmd_surface_overlaps(args) -> int:
     ranked = surface_overlaps(model, examples, args.top_k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("rank\tground_truth\tleft_id\tright_id\tconfidence\n")
-        for row in ranked:
-            handle.write(
-                f"{row.rank}\t{row.ground_truth.value}\t{row.left_id}\t"
-                f"{row.right_id}\t{row.confidence:.6f}\n"
-            )
+    write_tsv(out, ("rank", "ground_truth", "left_id", "right_id", "confidence"),
+              [(row.rank, row.ground_truth.value, row.left_id, row.right_id,
+                f"{row.confidence:.6f}") for row in ranked])
     _eprint(f"surface-overlaps: top {len(ranked)} of {len(examples)} pairs -> {out}")
     _write_run_manifest(out, "surface-overlaps",
                         {"model": args.model, "features": args.features,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .tsv import read_tsv, write_tsv
+
 
 class BookFormatError(ValueError):
     """A book file does not match the documented JSON layout."""
@@ -193,23 +195,15 @@ MANIFEST_COLUMNS = ("id", "path", "word_count")
 
 def write_manifest(entries: Iterable[tuple[str, str, int]], path: str | Path) -> None:
     """Write a corpus manifest TSV of (id, path, word_count)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\t".join(MANIFEST_COLUMNS) + "\n")
-        for book_id, book_path, word_count in entries:
-            handle.write(f"{book_id}\t{book_path}\t{word_count}\n")
+    write_tsv(path, MANIFEST_COLUMNS, entries)
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, int]]:
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if tuple(header) != MANIFEST_COLUMNS:
-            raise BookFormatError(f"{path}: bad manifest header {header}")
-        for line in handle:
-            if not line.strip():
-                continue
-            book_id, book_path, word_count = line.rstrip("\n").split("\t")
-            entries.append((book_id, book_path, int(word_count)))
+    for where, (book_id, book_path, word_count) in read_tsv(path, MANIFEST_COLUMNS):
+        if not word_count.isdecimal():
+            raise ValueError(f"{where}: word_count {word_count!r} is not a whole number")
+        entries.append((book_id, book_path, int(word_count)))
     return entries
 
 

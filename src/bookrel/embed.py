@@ -30,15 +30,6 @@ class EmbeddingTable:
     dimension: int
     vectors: dict[str, np.ndarray]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def get(self, word: str) -> np.ndarray | None:
-        return self.vectors.get(word)
-
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a plain-text embedding file: one "word f1 ... fd" entry per line,

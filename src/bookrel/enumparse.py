@@ -37,9 +37,6 @@ class Enumeration:
     canonical: str
     volumes: frozenset[int]
 
-    def sorted_volumes(self) -> list[int]:
-        return sorted(self.volumes)
-
 
 @dataclass(frozen=True)
 class GroundTruthRelation:

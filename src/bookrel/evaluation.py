@@ -68,12 +68,6 @@ class MetricsReport:
     accuracy: float  # also the pooled (micro) F1, which equals it for single-label data
     macro_classes: list[RelationshipLabel]
 
-    def metrics_for(self, label: RelationshipLabel) -> ClassMetrics:
-        for metrics in self.per_class:
-            if metrics.label == label:
-                return metrics
-        raise KeyError(label)
-
 
 def f1_score(precision: float, recall: float) -> float:
     if precision + recall == 0:
@@ -401,9 +395,6 @@ class DemoCorpus:
     books: list[Book]
     catalog: list[tuple[str, str, str]]  # (book_id, work_key, enumeration_raw)
     embeddings: EmbeddingTable
-
-    def books_by_id(self) -> dict[str, Book]:
-        return {book.id: book for book in self.books}
 
 
 _VOLUME_SPELLINGS = ("v.{n}", "v{n}", "v. {n}", "volume {n}", "Vol. {n}", "V.{n}", "vol {n}")

@@ -29,6 +29,7 @@ from .simmat import (
     pairwise_similarity,
     save_matrix,
 )
+from .tsv import read_tsv, write_tsv
 
 MANIFEST_NAME = "features-manifest.tsv"
 META_NAME = "features-meta.json"
@@ -137,19 +138,15 @@ def write_features(examples: Sequence[PairExample], out_dir: str | Path,
         json.dump(meta, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
+    rows = []
     with open(out_dir / PAIR_FEATURES_NAME, "wb") as feats:
-        with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as manifest:
-            manifest.write("\t".join(MANIFEST_COLUMNS) + "\n")
-            for index, example in enumerate(examples):
-                matrix_file = f"matrices/{index:06d}.smx"
-                save_matrix(example.matrix, out_dir / matrix_file)
-                feats.write(
-                    np.ascontiguousarray(example.pair_vector, dtype="<f4").tobytes()
-                )
-                manifest.write(
-                    f"{index}\t{example.left_id}\t{example.right_id}\t"
-                    f"{example.label.value}\t{example.provenance}\t{matrix_file}\n"
-                )
+        for index, example in enumerate(examples):
+            matrix_file = f"matrices/{index:06d}.smx"
+            save_matrix(example.matrix, out_dir / matrix_file)
+            feats.write(np.ascontiguousarray(example.pair_vector, dtype="<f4").tobytes())
+            rows.append((index, example.left_id, example.right_id,
+                         example.label.value, example.provenance, matrix_file))
+    write_tsv(out_dir / MANIFEST_NAME, MANIFEST_COLUMNS, rows)
 
 
 def load_features(directory: str | Path) -> list[PairExample]:
@@ -163,38 +160,24 @@ def load_features(directory: str | Path) -> list[PairExample]:
     vectors = raw.reshape(meta["count"], pair_dim) if pair_dim else raw.reshape(0, 0)
 
     examples: list[PairExample] = []
-    manifest = directory / MANIFEST_NAME
-    with open(manifest, encoding="utf-8") as handle:
-        header = tuple(handle.readline().rstrip("\n").split("\t"))
-        if header != MANIFEST_COLUMNS:
-            raise ValueError(f"{directory}: bad features manifest header")
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(MANIFEST_COLUMNS):
-                raise ValueError(f"{manifest}:{line_no}: expected "
-                                 f"{len(MANIFEST_COLUMNS)} fields, got {len(fields)}")
-            index_s, left_id, right_id, label, provenance, matrix_file = fields
-            if not index_s.isdecimal() or int(index_s) >= len(vectors):
-                raise ValueError(f"{manifest}:{line_no}: index {index_s!r} is outside "
-                                 f"0..{len(vectors) - 1}")
-            index = int(index_s)
-            where = f"{manifest}:{line_no}"
-            try:
-                matrix = load_matrix(directory / matrix_file)
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            examples.append(
-                PairExample(
-                    left_id,
-                    right_id,
-                    matrix,
-                    vectors[index].astype(np.float64),
-                    _parse_label(label, where),
-                    provenance,
-                )
+    for where, fields in read_tsv(directory / MANIFEST_NAME, MANIFEST_COLUMNS):
+        index, left_id, right_id, label, provenance, matrix_file = fields
+        if not index.isdecimal() or int(index) >= len(vectors):
+            raise ValueError(f"{where}: index {index!r} is outside 0..{len(vectors) - 1}")
+        try:
+            matrix = load_matrix(directory / matrix_file)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        examples.append(
+            PairExample(
+                left_id,
+                right_id,
+                matrix,
+                vectors[int(index)].astype(np.float64),
+                _parse_label(label, where),
+                provenance,
             )
+        )
     return examples
 
 
@@ -209,34 +192,15 @@ LABELS_COLUMNS = ("left_id", "right_id", "label", "provenance")
 
 
 def write_labels(pairs: Iterable[LabeledPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\t".join(LABELS_COLUMNS) + "\n")
-        for pair in pairs:
-            handle.write(
-                f"{pair.left_id}\t{pair.right_id}\t{pair.label.value}\t{pair.provenance}\n"
-            )
+    write_tsv(path, LABELS_COLUMNS, ((pair.left_id, pair.right_id, pair.label.value,
+                                      pair.provenance) for pair in pairs))
 
 
-def read_labels(path: str | Path, default_provenance: str = "real") -> list[LabeledPair]:
-    """Read a labeled-pair TSV; a missing provenance column defaults to real."""
+def read_labels(path: str | Path) -> list[LabeledPair]:
+    """Read a labeled-pair TSV; without a provenance column, pairs are real."""
     pairs: list[LabeledPair] = []
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if header[:3] != list(LABELS_COLUMNS[:3]):
-            raise ValueError(f"{path}: bad labels header {header}")
-        has_provenance = len(header) >= 4 and header[3] == "provenance"
-        n_fields = 4 if has_provenance else 3
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < n_fields:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}"
-                )
-            provenance = fields[3] if has_provenance else default_provenance
-            pairs.append(
-                LabeledPair(fields[0], fields[1],
-                            _parse_label(fields[2], f"{path}:{line_no}"), provenance)
-            )
+    for where, fields in read_tsv(path, LABELS_COLUMNS, LABELS_COLUMNS[:3]):
+        left_id, right_id, label, *provenance = fields
+        pairs.append(LabeledPair(left_id, right_id, _parse_label(label, where),
+                                 *provenance))
     return pairs

@@ -99,13 +99,15 @@ def test_sweep_outputs(pipeline, tmp_path):
         "--out", str(out),
     ]) == 0
     tsv = (out / "sweep.tsv").read_text().splitlines()
-    csv = (out / "sweep.csv").read_text().splitlines()
     assert tsv[0].split("\t") == [
         "fraction", "ratio", "label", "precision", "recall", "f1", "support"
     ]
-    assert len(tsv) == len(csv)
+    assert all(len(line.split("\t")) == 7 for line in tsv[1:])
     fractions = {line.split("\t")[0] for line in tsv[1:]}
     assert fractions == {"0", "1"}
+    assert sorted(read_data_files(out)) == ["sweep.tsv"]
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["outputs"] == ["sweep.tsv"]
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -172,7 +174,8 @@ def test_short_catalog_row_names_file_and_line(tmp_path, capsys):
 
 def test_config_file_precedence(pipeline, tmp_path):
     config = tmp_path / "train.json"
-    config.write_text(json.dumps({"epochs": 1, "batch_size": 16, "seed": 4}))
+    config.write_text(json.dumps({"epochs": 1, "batch_size": 16, "seed": 4,
+                                  "class_weights": {"PARTOF": 3.0, "CONTAINS": 3.0}}))
     model_path = tmp_path / "model.bin"
     # --epochs flag overrides the file; batch_size comes from the file
     assert run([
@@ -184,4 +187,7 @@ def test_config_file_precedence(pipeline, tmp_path):
     )
     assert manifest["config"]["train_config"]["epochs"] == 2
     assert manifest["config"]["train_config"]["batch_size"] == 16
+    assert manifest["config"]["train_config"]["class_weights"] == {
+        "CONTAINS": 3.0, "PARTOF": 3.0
+    }
     assert manifest["seeds"]["seed"] == 4

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,3 +197,26 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest(entries, path)
     assert read_manifest(path) == entries
+
+
+@pytest.mark.parametrize("row,message", [
+    ("b2\tbooks/b2.json", ":3: expected 3 fields, got 2"),
+    ("b2\tbooks/b2.json\t99\textra", ":3: expected 3 fields, got 4"),
+    ("b2\tbooks/b2.json\tmany", ":3: word_count 'many' is not a whole number"),
+], ids=["short-row", "long-row", "word-count"])
+def test_read_manifest_bad_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(f"id\tpath\tword_count\nb1\tbooks/b1.json\t120\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        read_manifest(path)
+
+
+def test_write_manifest_refuses_tab_in_book_id(tmp_path):
+    """A book id with a tab loads from JSON but cannot become a manifest row."""
+    book_path = write_book_file(tmp_path, {"id": "b\t1", "pages": [{"tokens": {"a": 1}}]})
+    book = load_book(book_path)
+    path = tmp_path / "manifest.tsv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'b\\t1'")):
+        write_manifest([(book.id, book_path.name, book_word_count(book))], path)
+    assert not path.exists()

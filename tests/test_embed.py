@@ -21,8 +21,8 @@ def test_load_embeddings_infers_dimension(tmp_path):
     path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n", encoding="utf-8")
     table = load_embeddings(path)
     assert table.dimension == 3
-    assert len(table) == 2
-    assert np.allclose(table.get("dog"), [4.0, 5.0, 6.0])
+    assert len(table.vectors) == 2
+    assert np.allclose(table.vectors["dog"], [4.0, 5.0, 6.0])
 
 
 def test_load_embeddings_rejects_mixed_dimensions(tmp_path):
@@ -37,7 +37,7 @@ def test_load_embeddings_duplicate_last_wins(tmp_path, caplog):
     path.write_text("cat 1.0\ncat 2.0\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
         table = load_embeddings(path)
-    assert table.get("cat")[0] == 2.0
+    assert table.vectors["cat"][0] == 2.0
     assert any("duplicate" in record.message for record in caplog.records)
 
 
@@ -50,9 +50,9 @@ def test_embeddings_round_trip_large(tmp_path):
     save_embeddings(table, path)
     again = load_embeddings(path)
     assert again.dimension == 8
-    assert len(again) == 10_000
+    assert len(again.vectors) == 10_000
     for word in ("word00000", "word04999", "word09999"):
-        assert np.allclose(again.get(word), table.get(word))
+        assert np.allclose(again.vectors[word], table.vectors[word])
 
 
 def test_chunk_book_page_granular_accumulation():

@@ -26,7 +26,7 @@ def test_normalize_vectors(raw, expected):
 
 @pytest.mark.parametrize("canonical,volumes", PARSE_VECTORS)
 def test_parse_vectors(canonical, volumes):
-    assert parse_enumeration(canonical).sorted_volumes() == volumes
+    assert sorted(parse_enumeration(canonical).volumes) == volumes
 
 
 @pytest.mark.parametrize("canonical", INVALID_RANGE_VECTORS)

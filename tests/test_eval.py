@@ -209,7 +209,7 @@ def test_demo_corpus_deterministic(demo):
 
 
 def test_demo_corpus_within_work_beats_cross_work(demo):
-    books = demo.books_by_id()
+    books = {book.id: book for book in demo.books}
     work_of = {book_id: work for book_id, work, _ in demo.catalog}
     vectors = {bid: chunk_vectors(b, demo.embeddings, 600) for bid, b in books.items()}
     ids = sorted(books)

@@ -145,11 +145,26 @@ def test_read_labels_defaults_provenance(tmp_path):
     assert pairs == [LabeledPair("x", "y", RelationshipLabel.DV, "real")]
 
 
-def test_read_labels_short_row_names_file_and_line(tmp_path):
+@pytest.mark.parametrize("text,message", [
+    ("left_id\tright_id\tlabel\nx\ty\tDV\nx\ty\n", ":3: expected 3 fields, got 2"),
+    ("left_id\tright_id\tlabel\nx\ty\tDV\textra\n", ":2: expected 3 fields, got 4"),
+    ("left_id\tright_id\tlabel\tprovenance\nx\ty\tDV\treal\textra\n",
+     ":2: expected 4 fields, got 5"),
+    ("left_id\tright_id\tlabel\textra\nx\ty\tDV\te\n", ":1: bad header"),
+], ids=["short-row", "long-row", "long-row-with-provenance", "extra-header-column"])
+def test_read_labels_row_width_names_file_and_line(tmp_path, text, message):
     path = tmp_path / "labels.tsv"
-    path.write_text("left_id\tright_id\tlabel\nx\ty\tDV\nx\ty\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 3 fields, got 2")):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         read_labels(path)
+
+
+def test_write_labels_refuses_tab_in_id(tmp_path):
+    path = tmp_path / "labels.tsv"
+    pairs = [LabeledPair("x\t1", "y", RelationshipLabel.DV)]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'x\\t1'")):
+        write_labels(pairs, path)
+    assert not path.exists()
 
 
 def written_store(tmp_path, small_world):
