@@ -1,10 +1,13 @@
 """Featurized training pairs and their on-disk store.
 
-A feature directory holds one similarity-matrix file per pair plus a single
-flat file of fixed-width pair-feature records, indexed by
-``features-manifest.tsv``. Pairs whose books exceed the training word limit,
-or whose chunk count would overflow the matrix, are excluded from training
-features.
+A feature directory holds four files: ``features-meta.json`` (record count,
+matrix side, pair dimension, chunk size), ``features-manifest.tsv`` (one row
+per pair: index, ids, label, provenance and unpadded chunk counts), and two
+files of fixed-size little-endian float32 records in index order,
+``matrices.f32`` (side x side each) and ``pair-features.f32``. The meta file
+is written last, so a directory whose write was cut short does not load.
+Pairs whose books exceed the training word limit, or whose chunk count would
+overflow the matrix, are excluded from training features.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .corpus import Book, book_word_count
 from .embed import EmbeddingTable, book_vector, chunk_vectors, DEFAULT_CHUNK_SIZE
 from .labels import RelationshipLabel
+# load_matrix and save_matrix go unused here: perfbench/tracing.py wraps them by name
 from .simmat import (
     DEFAULT_MATRIX_SIZE,
     SimilarityMatrix,
@@ -34,7 +38,9 @@ from .tsv import read_tsv, write_tsv
 MANIFEST_NAME = "features-manifest.tsv"
 META_NAME = "features-meta.json"
 PAIR_FEATURES_NAME = "pair-features.f32"
-MANIFEST_COLUMNS = ("index", "left_id", "right_id", "label", "provenance", "matrix_file")
+MATRICES_NAME = "matrices.f32"
+MANIFEST_COLUMNS = ("index", "left_id", "right_id", "label", "provenance",
+                    "left_chunks", "right_chunks")
 
 DEFAULT_MAX_WORDS = 750_000
 
@@ -124,61 +130,85 @@ def featurize_pairs(
 def write_features(examples: Sequence[PairExample], out_dir: str | Path,
                    chunk_size: int, matrix_size: int) -> None:
     out_dir = Path(out_dir)
-    matrices_dir = out_dir / "matrices"
-    matrices_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta_path = out_dir / META_NAME
+    meta_path.unlink(missing_ok=True)
 
-    pair_dim = int(examples[0].pair_vector.size) if examples else 0
+    rows = []
+    with open(out_dir / MATRICES_NAME, "wb") as matrices, \
+            open(out_dir / PAIR_FEATURES_NAME, "wb") as feats:
+        for index, example in enumerate(examples):
+            matrices.write(np.ascontiguousarray(example.matrix.values, dtype="<f4"))
+            feats.write(np.ascontiguousarray(example.pair_vector, dtype="<f4"))
+            rows.append((index, example.left_id, example.right_id, example.label.value,
+                         example.provenance, example.matrix.left_chunks,
+                         example.matrix.right_chunks))
+    write_tsv(out_dir / MANIFEST_NAME, MANIFEST_COLUMNS, rows)
+
     meta = {
         "count": len(examples),
         "matrix_size": matrix_size,
-        "pair_dim": pair_dim,
+        "pair_dim": int(examples[0].pair_vector.size) if examples else 0,
         "chunk_size": chunk_size,
     }
-    with open(out_dir / META_NAME, "w", encoding="utf-8") as handle:
+    with open(meta_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
-    rows = []
-    with open(out_dir / PAIR_FEATURES_NAME, "wb") as feats:
-        for index, example in enumerate(examples):
-            matrix_file = f"matrices/{index:06d}.smx"
-            save_matrix(example.matrix, out_dir / matrix_file)
-            feats.write(np.ascontiguousarray(example.pair_vector, dtype="<f4").tobytes())
-            rows.append((index, example.left_id, example.right_id,
-                         example.label.value, example.provenance, matrix_file))
-    write_tsv(out_dir / MANIFEST_NAME, MANIFEST_COLUMNS, rows)
-
 
 def load_features(directory: str | Path) -> list[PairExample]:
+    """Load a feature directory, refusing one whose files disagree with
+    ``features-meta.json``. Every example owns its own matrix array."""
     directory = Path(directory)
     with open(directory / META_NAME, encoding="utf-8") as handle:
         meta = json.load(handle)
+    count, side = int(meta["count"]), int(meta["matrix_size"])
     pair_dim = int(meta["pair_dim"])
-    raw = np.fromfile(directory / PAIR_FEATURES_NAME, dtype="<f4")
-    if pair_dim and raw.size != meta["count"] * pair_dim:
-        raise ValueError(f"{directory}: pair-features size mismatch")
-    vectors = raw.reshape(meta["count"], pair_dim) if pair_dim else raw.reshape(0, 0)
+    manifest = directory / MANIFEST_NAME
+    rows = list(read_tsv(manifest, MANIFEST_COLUMNS))
+    if len(rows) != count:
+        raise ValueError(f"{manifest}: {len(rows)} rows, but {META_NAME} "
+                         f"count is {count}")
+    _check_size(directory / PAIR_FEATURES_NAME, count, pair_dim * 4)
+    vectors = np.fromfile(directory / PAIR_FEATURES_NAME, dtype="<f4").reshape(count, pair_dim)
 
+    record = side * side * 4
+    matrices_path = directory / MATRICES_NAME
+    _check_size(matrices_path, count, record)
     examples: list[PairExample] = []
-    for where, fields in read_tsv(directory / MANIFEST_NAME, MANIFEST_COLUMNS):
-        index, left_id, right_id, label, provenance, matrix_file = fields
-        if not index.isdecimal() or int(index) >= len(vectors):
-            raise ValueError(f"{where}: index {index!r} is outside 0..{len(vectors) - 1}")
-        try:
-            matrix = load_matrix(directory / matrix_file)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        examples.append(
-            PairExample(
-                left_id,
-                right_id,
-                matrix,
-                vectors[int(index)].astype(np.float64),
-                _parse_label(label, where),
-                provenance,
-            )
-        )
+    seen: dict[int, str] = {}
+    with open(matrices_path, "rb") as matrices:
+        for where, fields in rows:
+            index, left_id, right_id, label, provenance, left_chunks, right_chunks = fields
+            if not index.isdecimal() or int(index) >= count:
+                raise ValueError(f"{where}: index {index!r} is outside 0..{count - 1}")
+            at = int(index)
+            if at in seen:
+                raise ValueError(f"{where}: index {at} repeats {seen[at]}")
+            seen[at] = where
+            values = np.empty((side, side), dtype="<f4")
+            matrices.seek(at * record)
+            if matrices.readinto(values) != record:
+                raise ValueError(f"{matrices_path}: record {at} is short")
+            matrix = SimilarityMatrix(values, _parse_chunks(left_chunks, side, where),
+                                      _parse_chunks(right_chunks, side, where))
+            examples.append(PairExample(left_id, right_id, matrix,
+                                        vectors[at].astype(np.float64),
+                                        _parse_label(label, where), provenance))
     return examples
+
+
+def _check_size(path: Path, count: int, record: int) -> None:
+    found = path.stat().st_size
+    if found != count * record:
+        raise ValueError(f"{path}: expected {count * record} bytes ({count} records "
+                         f"of {record}), found {found}")
+
+
+def _parse_chunks(value: str, side: int, where: str) -> int:
+    if not value.isdecimal() or int(value) > side:
+        raise ValueError(f"{where}: chunk count {value!r} is not an integer in 0..{side}")
+    return int(value)
 
 
 def _parse_label(value: str, where: str) -> RelationshipLabel:

@@ -500,8 +500,8 @@ class AdamState:
 def _stack_dataset(
     dataset: Sequence[PairExample], class_list: Sequence[RelationshipLabel]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mats = np.stack([ex.matrix.values for ex in dataset]).astype(np.float32)
-    pairs = np.stack([np.asarray(ex.pair_vector) for ex in dataset]).astype(np.float32)
+    mats = np.stack([ex.matrix.values for ex in dataset], dtype=np.float32)
+    pairs = np.stack([ex.pair_vector for ex in dataset], dtype=np.float32)
     index = {label: i for i, label in enumerate(class_list)}
     targets = np.array([index[ex.label] for ex in dataset], dtype=np.int64)
     return mats, pairs, targets

@@ -1,10 +1,14 @@
-"""Chunk-similarity matrices, pair feature vectors, and their binary format.
+"""Chunk-similarity matrices, pair feature vectors, and a one-matrix file format.
 
 The similarity matrix of an ordered book pair holds the cosine similarity of
 every left-chunk/right-chunk combination, zero-padded or truncated to a fixed
 side length so a convolutional classifier sees a constant input shape. The
 pair feature vector concatenates the centroid of the two book vectors with
 their difference (left minus right).
+
+`save_matrix`/`load_matrix` read and write one matrix as a `.smx` file. A
+feature directory does not use them: it keeps every matrix of the store as a
+headerless record of one ``matrices.f32`` (see `bookrel.features`).
 """
 
 from __future__ import annotations

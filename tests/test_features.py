@@ -7,6 +7,9 @@ from bookrel.corpus import BookMetadata
 from bookrel.features import (
     DEFAULT_MAX_WORDS,
     MANIFEST_NAME,
+    MATRICES_NAME,
+    META_NAME,
+    PAIR_FEATURES_NAME,
     LabeledPair,
     featurize_pairs,
     load_features,
@@ -209,9 +212,96 @@ def test_load_features_unknown_label_names_file_and_line(tmp_path, small_world):
         load_features(tmp_path)
 
 
-def test_load_features_bad_matrix_names_manifest_line(tmp_path, small_world):
+def test_write_features_leaves_four_files_of_index_ordered_records(tmp_path, small_world):
+    table, left, right = small_world
+    pairs = [
+        LabeledPair("L", "R", RelationshipLabel.SW),
+        LabeledPair("R", "L", RelationshipLabel.SW, "synthetic"),
+    ]
+    examples, _ = featurize_pairs(
+        pairs, {"L": left, "R": right}, table, chunk_size=4, matrix_size=6
+    )
+    write_features(examples, tmp_path, chunk_size=4, matrix_size=6)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [META_NAME, MANIFEST_NAME, MATRICES_NAME, PAIR_FEATURES_NAME])
+    records = (tmp_path / MATRICES_NAME).read_bytes()
+    record = 6 * 6 * 4
+    assert len(records) == len(examples) * record
+    for i, example in enumerate(examples):
+        expected = example.matrix.values.astype("<f4").tobytes()
+        assert records[i * record:(i + 1) * record] == expected
+
+    first, second = load_features(tmp_path)
+    assert not np.shares_memory(first.matrix.values, second.matrix.values)
+    for before, after in zip(examples, (first, second)):
+        assert (after.matrix.left_chunks, after.matrix.right_chunks) == (
+            before.matrix.left_chunks, before.matrix.right_chunks)
+
+
+def test_write_cut_short_leaves_a_store_that_does_not_load(tmp_path, small_world):
+    written_store(tmp_path, small_world)
+    table, left, right = small_world
+    (example,), _ = featurize_pairs([LabeledPair("L", "R", RelationshipLabel.SW)],
+                                    {"L": left, "R": right}, table, chunk_size=4,
+                                    matrix_size=6)
+    example.left_id = "L\t1"  # the manifest write refuses it after the records
+    with pytest.raises(ValueError, match="contains a tab"):
+        write_features([example], tmp_path, chunk_size=4, matrix_size=6)
+    assert not (tmp_path / META_NAME).exists()
+    with pytest.raises(FileNotFoundError):
+        load_features(tmp_path)
+
+
+@pytest.mark.parametrize("name,cut", [(MATRICES_NAME, 4), (PAIR_FEATURES_NAME, 4),
+                                      (MATRICES_NAME, -4)],
+                         ids=["short-matrices", "short-pair-features", "long-matrices"])
+def test_load_features_refuses_record_file_of_wrong_size(tmp_path, small_world, name, cut):
+    written_store(tmp_path, small_world)
+    path = tmp_path / name
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+    message = f"{path}: expected {len(data)} bytes (2 records of {len(data) // 2}), " \
+              f"found {len(data) - cut}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)
+
+
+def test_load_features_refuses_manifest_row_count_other_than_meta(tmp_path, small_world):
     manifest, lines = written_store(tmp_path, small_world)
-    matrix_file = tmp_path / lines[2].rstrip("\n").split("\t")[-1]
-    matrix_file.write_bytes(matrix_file.read_bytes()[:-4])
-    with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: {matrix_file}: expected")):
+    manifest.write_text("".join(lines[:-1]), encoding="utf-8")
+    message = f"{manifest}: 1 rows, but {META_NAME} count is 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)
+
+
+def test_load_features_refuses_repeated_index(tmp_path, small_world):
+    manifest, lines = written_store(tmp_path, small_world)
+    lines[2] = "0" + lines[2][1:]
+    manifest.write_text("".join(lines), encoding="utf-8")
+    message = f"{manifest}:3: index 0 repeats {manifest}:2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)
+
+
+@pytest.mark.parametrize("column,value", [(-2, "x"), (-1, "-1"), (-2, "1.0"), (-1, "7")],
+                         ids=["letters", "negative", "float", "over-side"])
+def test_load_features_refuses_bad_chunk_count(tmp_path, small_world, column, value):
+    manifest, lines = written_store(tmp_path, small_world)
+    fields = lines[2].rstrip("\n").split("\t")
+    fields[column] = value
+    lines[2] = "\t".join(fields) + "\n"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    message = f"{manifest}:3: chunk count {value!r} is not an integer in 0..6"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(tmp_path)
+
+
+def test_load_features_refuses_old_per_pair_matrix_layout(tmp_path, small_world):
+    manifest, lines = written_store(tmp_path, small_world)
+    (tmp_path / MATRICES_NAME).unlink()
+    old_header = "index\tleft_id\tright_id\tlabel\tprovenance\tmatrix_file\n"
+    rows = ["\t".join(line.split("\t")[:5] + [f"matrices/{i:06d}.smx"]) + "\n"
+            for i, line in enumerate(lines[1:])]
+    manifest.write_text(old_header + "".join(rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}:1: bad header")):
         load_features(tmp_path)
