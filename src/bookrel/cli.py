@@ -14,14 +14,13 @@ data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, evaluation, nn, synth
+from . import __version__, evaluation, synth
 from .corpus import (
     book_word_count,
     load_book,
@@ -41,6 +40,11 @@ from .evaluation import (
     surface_overlaps,
 )
 from .features import (
+    DEFAULT_MAX_WORDS,
+    MANIFEST_NAME,
+    MATRICES_NAME,
+    META_NAME,
+    PAIR_FEATURES_NAME,
     LabeledPair,
     featurize_pairs,
     load_features,
@@ -62,7 +66,7 @@ def _eprint(*args) -> None:
 
 def _write_run_manifest(
     target: Path, command: str, config: dict, seeds: dict,
-    inputs: list[str], outputs: list[str], started: float,
+    inputs: list[str], outputs: list[str], started: float, **extra,
 ) -> None:
     if target.suffix:  # file output: manifest becomes a sibling
         path = target.parent / f"{target.name}.run-manifest.json"
@@ -76,6 +80,7 @@ def _write_run_manifest(
         "outputs": sorted(outputs),
         "tool_version": __version__,
         "wall_time_s": round(time.time() - started, 3),
+        **extra,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -214,7 +219,6 @@ def cmd_featurize(args) -> int:
         chunk_size=args.chunk_size,
         matrix_size=args.matrix_size,
         max_words=args.max_words,
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,45 +230,48 @@ def cmd_featurize(args) -> int:
                         {"corpus": args.corpus, "synth": args.synth,
                          "pairs": list(args.pairs), "embeddings": args.embeddings,
                          "chunk_size": args.chunk_size, "matrix_size": args.matrix_size,
-                         "max_words": args.max_words, "threads": args.threads},
+                         "max_words": args.max_words},
                         {}, [args.corpus, *args.pairs, args.embeddings],
-                        ["features-manifest.tsv"], started)
+                        [META_NAME, MANIFEST_NAME, MATRICES_NAME, PAIR_FEATURES_NAME],
+                        started, skipped=skipped)
     return 0
 
 
 def _train_config_from(args) -> TrainConfig:
-    """Flags beat the JSON config file, which beats the defaults."""
-    file_config = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as handle:
-            file_config = json.load(handle)
+    """Flags beat the JSON config file, which beats TrainConfig's defaults.
+    A config file that is not a JSON object of TrainConfig fields, or that
+    weights an unknown label, raises a ValueError naming the file."""
+    values = _read_train_config(Path(args.config)) if args.config else {}
+    for field in dataclasses.fields(TrainConfig):
+        if getattr(args, field.name, None) is not None:
+            values[field.name] = getattr(args, field.name)
+    return TrainConfig(**values)
 
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return file_config.get(name, default)
 
-    class_weights = file_config.get("class_weights")
-    if class_weights:
-        class_weights = {
-            RelationshipLabel(k): float(v) for k, v in class_weights.items()
-        }
-    return TrainConfig(
-        epochs=pick("epochs", 30),
-        batch_size=pick("batch_size", 32),
-        learning_rate=pick("learning_rate", 1e-3),
-        dropout_flat=pick("dropout_flat", 0.5),
-        dropout_pair=pick("dropout_pair", 0.25),
-        seed=pick("seed", 0),
-        class_weights=class_weights,
-    )
+def _read_train_config(path: Path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            values = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(values).__name__}")
+    unknown = sorted(set(values) - {field.name for field in dataclasses.fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
+    weights = values.get("class_weights") or {}
+    unknown = sorted(set(weights) - {label.value for label in RelationshipLabel})
+    if unknown:
+        raise ValueError(f"{path}: class_weights: unknown labels {unknown}")
+    if weights:
+        values["class_weights"] = {RelationshipLabel(k): float(v) for k, v in weights.items()}
+    return values
 
 
 def cmd_train(args) -> int:
     started = time.time()
-    examples = load_features(args.features)
     config = _train_config_from(args)
+    examples = load_features(args.features)
     model, history = train(examples, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -316,8 +323,8 @@ def _write_confusion_tsv(confusion, path: Path) -> None:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    real, synthetic = _split_by_provenance(load_features(args.features))
     train_config = _train_config_from(args)
+    real, synthetic = _split_by_provenance(load_features(args.features))
     config = ExperimentConfig(
         condition=args.condition,
         synth_fraction=args.synth_fraction if args.condition != "nofake" else 0.0,
@@ -353,8 +360,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    real, synthetic = _split_by_provenance(load_features(args.features))
     train_config = _train_config_from(args)
+    real, synthetic = _split_by_provenance(load_features(args.features))
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     seed = args.seed if args.seed is not None else train_config.seed
     rows = ratio_sweep(real, synthetic, fractions, seed, train_config)
@@ -450,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--matrix-size", type=int, default=DEFAULT_MATRIX_SIZE)
-    p.add_argument("--max-words", type=int, default=750_000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_featurize)
 

@@ -101,16 +101,25 @@ def _lowercase_tokens(raw: dict, page_index: int) -> dict[str, int]:
     return tokens
 
 
-def load_book(path: str | Path) -> Book:
-    """Load a book JSON file. Pages keep file order regardless of any stray
-    index fields; malformed pages raise BookFormatError naming the page."""
-    path = Path(path)
+def read_json(path: str | Path):
+    """Parse a JSON file; invalid JSON raises BookFormatError naming the path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise BookFormatError(f"{path}: invalid JSON: {exc}") from exc
 
+
+def load_book(path: str | Path) -> Book:
+    """Load a book JSON file (see `book_from_json`)."""
+    return book_from_json(read_json(path), path)
+
+
+def book_from_json(doc, path: str | Path) -> Book:
+    """The Book of a parsed book JSON document read from `path`, the
+    counterpart of `book_to_json`. Pages keep file order regardless of any
+    stray index fields; malformed pages raise BookFormatError naming the
+    path and the page."""
     if not isinstance(doc, dict) or "id" not in doc or "pages" not in doc:
         raise BookFormatError(f"{path}: expected an object with 'id' and 'pages'")
     if not isinstance(doc["pages"], list):

@@ -2,8 +2,8 @@
 
 Books are chunked into fixed word-count windows at page granularity, and a
 chunk's vector is the count-weighted sum of its in-vocabulary token vectors.
-A book's vector is the same sum taken over the whole book, so it is invariant
-to the chunk size used.
+One pass over a book's tokens gives all its chunk vectors; the book's vector
+is the sum of its chunk vectors, so it is invariant to the chunk size used.
 """
 
 from __future__ import annotations
@@ -73,58 +73,41 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
             handle.write(f"{word} {components}\n")
 
 
-@dataclass(frozen=True)
-class Chunk:
-    ordinal: int
-    tokens: dict[str, int]
-    word_count: int
-
-
-def chunk_book(book: Book, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Chunk]:
-    """Accumulate pages, in order, into the current chunk until it reaches
-    `chunk_size` words, then start a new one. Pages are never split, so every
-    chunk except the last overshoots to a page boundary; a trailing chunk with
-    zero words (all-blank tail) is dropped."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks: list[Chunk] = []
-    tokens: dict[str, int] = {}
-    word_count = 0
-    for page in book.pages:
-        for token, count in page.tokens.items():
-            tokens[token] = tokens.get(token, 0) + count
-        word_count += page.word_count
-        if word_count >= chunk_size:
-            chunks.append(Chunk(len(chunks), tokens, word_count))
-            tokens, word_count = {}, 0
-    if word_count >= 1:
-        chunks.append(Chunk(len(chunks), tokens, word_count))
-    return chunks
-
-
 def chunk_vectors(
     book: Book, table: EmbeddingTable, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> np.ndarray:
-    """All chunk vectors of a book as an (n_chunks, d) array. Row i is the
-    count-weighted sum of chunk i's in-vocabulary token vectors;
-    out-of-vocabulary tokens are skipped, so a fully out-of-vocabulary chunk
-    is a zero row."""
-    chunks = chunk_book(book, chunk_size)
-    out = np.zeros((len(chunks), table.dimension), dtype=np.float64)
-    for row, chunk in zip(out, chunks):
-        for token, count in chunk.tokens.items():
-            vec = table.vectors.get(token)
-            if vec is not None:
-                row += count * vec
-    return out
+    """All chunk vectors of a book as an (n_chunks, d) array, from one pass
+    over its tokens.
+
+    Each page is pooled once, as the count-weighted sum of its in-vocabulary
+    token vectors (out-of-vocabulary tokens are skipped). Pages then
+    accumulate, in order, into the current chunk until it reaches
+    `chunk_size` words, and a new chunk starts. Pages are never split, so
+    every chunk except the last overshoots to a page boundary; a trailing
+    chunk with zero words (all-blank tail) is dropped. A chunk whose tokens
+    are all out of vocabulary is a zero row."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    pages = np.zeros((len(book.pages), table.dimension), dtype=np.float64)
+    starts, words = [0], 0
+    for i, page in enumerate(book.pages):
+        known = [(count, table.vectors[token]) for token, count in page.tokens.items()
+                 if token in table.vectors]
+        if known:
+            counts, vectors = zip(*known)
+            pages[i] = np.asarray(counts, dtype=np.float64) @ np.asarray(vectors)
+        words += page.word_count
+        if words >= chunk_size:
+            starts.append(i + 1)
+            words = 0
+    if words == 0:  # the last start opens an empty chunk
+        starts.pop()
+    if not starts:
+        return np.zeros((0, table.dimension), dtype=np.float64)
+    return np.add.reduceat(pages, starts, axis=0)
 
 
 def book_vector(book: Book, table: EmbeddingTable) -> np.ndarray:
-    """Count-weighted embedding sum over the whole book (chunk-size invariant)."""
-    vector = np.zeros(table.dimension, dtype=np.float64)
-    for page in book.pages:
-        for token, count in page.tokens.items():
-            vec = table.vectors.get(token)
-            if vec is not None:
-                vector += count * vec
-    return vector
+    """The sum of the book's chunk vectors: the count-weighted embedding sum
+    over the whole book, whatever the chunk size."""
+    return chunk_vectors(book, table).sum(axis=0)

@@ -7,7 +7,8 @@ files of fixed-size little-endian float32 records in index order,
 ``matrices.f32`` (side x side each) and ``pair-features.f32``. The meta file
 is written last, so a directory whose write was cut short does not load.
 Pairs whose books exceed the training word limit, or whose chunk count would
-overflow the matrix, are excluded from training features.
+overflow the matrix, are excluded from training features. Each book is pooled
+once per featurize call; its book vector is the sum of its chunk vectors.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Book, book_word_count
+# book_vector, load_matrix and save_matrix go unused here: perfbench/tracing.py
+# wraps them by name
 from .embed import EmbeddingTable, book_vector, chunk_vectors, DEFAULT_CHUNK_SIZE
 from .labels import RelationshipLabel
-# load_matrix and save_matrix go unused here: perfbench/tracing.py wraps them by name
 from .simmat import (
     DEFAULT_MATRIX_SIZE,
     SimilarityMatrix,
@@ -73,57 +75,50 @@ def featurize_pairs(
     threads: int = 1,
 ) -> tuple[list[PairExample], dict[str, int]]:
     """Featurize labeled pairs, excluding any pair touching a book that is
-    over the word limit or whose similarity matrix would be truncated.
-    Returns (examples, skip counts by reason). Each book's chunk vectors and
-    book vector are computed once per call."""
-    chunk_cache: dict[str, np.ndarray] = {}
-    vector_cache: dict[str, np.ndarray] = {}
+    missing, over the word limit, or whose similarity matrix would be
+    truncated, checked in that order. Returns (examples, skip counts by
+    reason). Each book is pooled once per call: one `chunk_vectors` pass
+    gives its chunk rows, whose sum is its book vector. A missing or
+    oversize book is never pooled."""
+    pooled: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
 
-    def chunks(book_id: str) -> np.ndarray:
-        if book_id not in chunk_cache:
-            chunk_cache[book_id] = chunk_vectors(books[book_id], table, chunk_size)
-        return chunk_cache[book_id]
-
-    def vector(book_id: str) -> np.ndarray:
-        if book_id not in vector_cache:
-            vector_cache[book_id] = book_vector(books[book_id], table)
-        return vector_cache[book_id]
+    def pool(book_id: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """A book's (chunk rows, book vector), or None if it is over the limit."""
+        if book_id not in pooled:
+            book = books[book_id]
+            pooled[book_id] = None
+            if book_word_count(book) <= max_words:
+                chunks = chunk_vectors(book, table, chunk_size)
+                pooled[book_id] = chunks, chunks.sum(axis=0)
+        return pooled[book_id]
 
     skipped = {"oversize": 0, "truncated": 0, "missing_book": 0}
-
-    eligible: list[LabeledPair] = []
+    eligible = []
     for pair in pairs:
         if pair.left_id not in books or pair.right_id not in books:
             skipped["missing_book"] += 1
             continue
-        if (
-            book_word_count(books[pair.left_id]) > max_words
-            or book_word_count(books[pair.right_id]) > max_words
-        ):
+        left, right = pool(pair.left_id), pool(pair.right_id)
+        if left is None or right is None:
             skipped["oversize"] += 1
-            continue
-        if (
-            len(chunks(pair.left_id)) > matrix_size
-            or len(chunks(pair.right_id)) > matrix_size
-        ):
+        elif max(len(left[0]), len(right[0])) > matrix_size:
             skipped["truncated"] += 1
-            continue
-        eligible.append(pair)
+        else:
+            eligible.append((pair, left, right))
 
-    def build(pair: LabeledPair) -> PairExample:
-        matrix = pad_truncate(
-            pairwise_similarity(chunks(pair.left_id), chunks(pair.right_id)), matrix_size
-        )
-        feats = pair_features(vector(pair.left_id), vector(pair.right_id))
+    def build(item) -> PairExample:
+        pair, (left_chunks, left_vector), (right_chunks, right_vector) = item
+        matrix = pad_truncate(pairwise_similarity(left_chunks, right_chunks), matrix_size)
+        feats = pair_features(left_vector, right_vector)
         return PairExample(
             pair.left_id, pair.right_id, matrix, feats, pair.label, pair.provenance
         )
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            examples = list(pool.map(build, eligible))
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            examples = list(executor.map(build, eligible))
     else:
-        examples = [build(pair) for pair in eligible]
+        examples = [build(item) for item in eligible]
     return examples, skipped
 
 

@@ -21,17 +21,19 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import (
     Book,
     BookMetadata,
     Page,
+    book_from_json,
+    book_to_json,
     book_word_count,
     dedup_by_author_title,
     length_percentile,
-    load_book,
-    book_to_json,
+    make_book,
+    read_json,
 )
 from .enumparse import InvalidRangeError, read_enumeration
 from .labels import INVERSE_LABEL, RelationshipLabel
@@ -78,11 +80,6 @@ def trim_matter(book: Book, rng: random.Random) -> tuple[
     return front, middle, back
 
 
-def _rebuild(book_id: str, pages: Sequence[Page], metadata: BookMetadata) -> Book:
-    reindexed = tuple(Page(i, dict(p.tokens)) for i, p in enumerate(pages))
-    return Book(book_id, reindexed, metadata)
-
-
 def _concatenate(
     kind: str,
     components: Sequence[Book],
@@ -107,7 +104,7 @@ def _concatenate(
     pages.extend(backs[donor_index])
     donor_meta = components[donor_index].metadata
     metadata = BookMetadata(title=donor_meta.title, author=donor_meta.author)
-    book = _rebuild(book_id, pages, metadata)
+    book = make_book(book_id, [p.tokens for p in pages], metadata)
     recipe = SynthRecipe(kind, tuple(c.id for c in components), seed, tuple(trims))
     return book, recipe
 
@@ -165,7 +162,7 @@ def make_split(
         run = middle[bounds[part_no] : bounds[part_no + 1]]
         part_id = f"synth:split:{seed}:{ordinal}.{part_no}"
         meta = BookMetadata(title=book.metadata.title, author=book.metadata.author)
-        part_book = _rebuild(part_id, run, meta)
+        part_book = make_book(part_id, [p.tokens for p in run], meta)
         recipe = SynthRecipe("split", (book.id,), seed, trims)
         parts.append(
             SynthBook(part_book, recipe, ((book.id, RelationshipLabel.PARTOF),))
@@ -218,7 +215,7 @@ def make_overlap_pair(
         recipe = SynthRecipe(
             "overlap_pair", tuple(c.id for c in components), seed, trims
         )
-        return _rebuild(book_id, pages, metadata), recipe
+        return make_book(book_id, [p.tokens for p in pages], metadata), recipe
 
     left_id = f"synth:overlap:{seed}:{ordinal}.0"
     right_id = f"synth:overlap:{seed}:{ordinal}.1"
@@ -357,9 +354,8 @@ def save_synth_book(synth: SynthBook, path: str | Path) -> None:
 
 
 def load_synth_book(path: str | Path) -> SynthBook:
-    book = load_book(path)
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = read_json(path)
+    book = book_from_json(doc, path)
     info = doc.get("synthetic")
     if not isinstance(info, dict):
         raise ValueError(f"{path}: not a synthetic book file")

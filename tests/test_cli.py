@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bookrel import features
 from bookrel.cli import main
 
 
@@ -59,6 +60,32 @@ def test_pipeline_artifacts_exist(pipeline):
     meta = json.loads((pipeline / "features" / "features-meta.json").read_text())
     assert meta["matrix_size"] == 24
     assert meta["count"] > 0
+
+
+def test_featurize_run_manifest_lists_data_files_and_skips(pipeline):
+    out = pipeline / "features"
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    names = [features.META_NAME, features.MANIFEST_NAME, features.MATRICES_NAME,
+             features.PAIR_FEATURES_NAME]
+    assert manifest["outputs"] == sorted(names)
+    assert sorted(read_data_files(out)) == sorted(names)
+    assert set(manifest["skipped"]) == {"missing_book", "oversize", "truncated"}
+    meta = json.loads((out / features.META_NAME).read_text())
+    labels = sum(len(features.read_labels(path)) for path in
+                 (pipeline / "labels.tsv", pipeline / "synth" / "synth-labels.tsv"))
+    assert meta["count"] + sum(manifest["skipped"].values()) == labels
+    assert manifest["config"]["max_words"] == features.DEFAULT_MAX_WORDS
+    assert "threads" not in manifest["config"]
+
+
+def test_featurize_has_no_threads_flag(pipeline, tmp_path):
+    corpus = pipeline / "corpus"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["featurize", "--corpus", str(corpus / "manifest.tsv"),
+              "--pairs", str(pipeline / "labels.tsv"),
+              "--embeddings", str(corpus / "embeddings.txt"),
+              "--threads", "2", "--out", str(tmp_path / "features")])
+    assert excinfo.value.code == 2
 
 
 def test_train_evaluate_and_surface(pipeline, tmp_path):
@@ -191,3 +218,19 @@ def test_config_file_precedence(pipeline, tmp_path):
         "CONTAINS": 3.0, "PARTOF": 3.0
     }
     assert manifest["seeds"]["seed"] == 4
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"epochs": 1,', "invalid JSON"),
+    ('{"epoch": 1}', "unknown keys ['epoch']"),
+    ('{"class_weights": {"PARTOF": 2.0, "XX": 1.0}}', "class_weights: unknown labels ['XX']"),
+], ids=["not-an-object", "invalid-json", "unknown-key", "unknown-label"])
+def test_bad_config_file_is_refused_naming_it(pipeline, tmp_path, capsys, text, message):
+    config = tmp_path / "train.json"
+    config.write_text(text, encoding="utf-8")
+    model_path = tmp_path / "model.bin"
+    assert main(["train", "--features", str(pipeline / "features"),
+                 "--config", str(config), "--out", str(model_path)]) == 1
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert not model_path.exists()

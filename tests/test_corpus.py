@@ -9,6 +9,8 @@ from bookrel.corpus import (
     BookFormatError,
     BookMetadata,
     Page,
+    book_from_json,
+    book_to_json,
     book_word_count,
     dedup_by_author_title,
     length_percentile,
@@ -96,6 +98,16 @@ def test_load_book_rejects_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(BookFormatError, match="invalid JSON"):
         load_book(path)
+
+
+def test_book_from_json_inverts_book_to_json():
+    book = make_book("b9", [{"alpha": 2}, {}], BookMetadata(title="T", work_key="w1"))
+    assert book_from_json(book_to_json(book), "b9.json") == book
+
+
+def test_book_from_json_names_the_path():
+    with pytest.raises(BookFormatError, match=re.escape("where.json: expected an object")):
+        book_from_json([1, 2], "where.json")
 
 
 def test_save_load_round_trip(tmp_path):

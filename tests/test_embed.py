@@ -7,7 +7,6 @@ from bookrel.embed import (
     EmbeddingFormatError,
     EmbeddingTable,
     book_vector,
-    chunk_book,
     chunk_vectors,
     load_embeddings,
     save_embeddings,
@@ -55,28 +54,39 @@ def test_embeddings_round_trip_large(tmp_path):
         assert np.allclose(again.vectors[word], table.vectors[word])
 
 
-def test_chunk_book_page_granular_accumulation():
-    book = book_with_pages("b", [3000, 3000, 3000])
-    chunks = chunk_book(book, chunk_size=5000)
-    assert [c.word_count for c in chunks] == [6000, 3000]
-    assert [c.ordinal for c in chunks] == [0, 1]
+def counting_table(n_pages: int) -> EmbeddingTable:
+    """A 1-dim table mapping every page word of `book_with_pages` to 1.0, so
+    each chunk vector is its chunk's word count."""
+    return tiny_table({f"page{i:04d}": [1.0] for i in range(n_pages)})
 
 
-def test_chunk_book_single_small_page():
-    book = book_with_pages("b", [100])
-    chunks = chunk_book(book, chunk_size=5000)
-    assert len(chunks) == 1
-    assert chunks[0].word_count == 100
+def chunk_words(page_word_counts, chunk_size) -> list[float]:
+    book = book_with_pages("b", page_word_counts)
+    rows = chunk_vectors(book, counting_table(len(page_word_counts)), chunk_size)
+    assert rows.shape[1:] == (1,)
+    return rows[:, 0].tolist()
 
 
-def test_chunk_book_all_blank_pages_gives_no_chunks():
+def test_chunk_vectors_page_granular_accumulation():
+    assert chunk_words([3000, 3000, 3000], chunk_size=5000) == [6000, 3000]
+
+
+def test_chunk_vectors_single_small_page():
+    assert chunk_words([100], chunk_size=5000) == [100]
+
+
+def test_chunk_vectors_all_blank_pages_gives_no_rows():
     book = book_with_pages("b", [0, 0, 0])
-    assert chunk_book(book, chunk_size=100) == []
+    assert chunk_vectors(book, counting_table(3), chunk_size=100).shape == (0, 1)
 
 
-def test_chunk_book_rejects_bad_chunk_size():
-    with pytest.raises(ValueError):
-        chunk_book(book_with_pages("b", [1]), chunk_size=0)
+def test_chunk_vectors_drops_trailing_blank_chunk():
+    assert chunk_words([0, 5, 0, 0], chunk_size=5) == [5]
+
+
+def test_chunk_vectors_rejects_bad_chunk_size():
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        chunk_vectors(book_with_pages("b", [1]), counting_table(1), chunk_size=0)
 
 
 @given(
@@ -85,13 +95,12 @@ def test_chunk_book_rejects_bad_chunk_size():
 )
 @settings(max_examples=60)
 def test_chunk_invariants(counts, chunk_size):
-    book = book_with_pages("b", counts)
-    chunks = chunk_book(book, chunk_size)
-    assert sum(c.word_count for c in chunks) == sum(counts)
-    for chunk in chunks[:-1]:
-        assert chunk.word_count >= chunk_size
-    for chunk in chunks:
-        assert chunk.word_count >= 1
+    words = chunk_words(counts, chunk_size)
+    assert sum(words) == sum(counts)
+    for count in words[:-1]:
+        assert count >= chunk_size
+    for count in words:
+        assert count >= 1
 
 
 def test_chunk_vector_scales_by_count():

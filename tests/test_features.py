@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from bookrel.corpus import BookMetadata
+from bookrel import features
+from bookrel.corpus import make_book
+from bookrel.embed import chunk_vectors
 from bookrel.features import (
     DEFAULT_MAX_WORDS,
     MANIFEST_NAME,
@@ -19,7 +21,7 @@ from bookrel.features import (
 )
 from bookrel.labels import RelationshipLabel
 
-from _support import book_with_pages, tiny_table, uniform_book
+from _support import tiny_table, uniform_book
 
 
 @pytest.fixture
@@ -31,10 +33,7 @@ def small_world():
             "ccc": [0.0, 0.0, 1.0],
         }
     )
-    left = book_with_pages("L", [4, 4, 4], word="x")  # tokens x0000.. are OOV
     # books whose pages hold in-vocabulary words
-    from bookrel.corpus import make_book
-
     left = make_book("L", [{"aaa": 3}, {"bbb": 2}, {"aaa": 1, "ccc": 1}])
     right = make_book("R", [{"aaa": 2, "bbb": 2}, {"ccc": 4}])
     return table, left, right
@@ -113,6 +112,48 @@ def test_featurize_pairs_skips_truncated(small_world):
     )
     assert examples == []
     assert skipped["truncated"] == 1
+
+
+def test_featurize_pairs_pools_each_eligible_book_once(small_world, monkeypatch):
+    table, left, right = small_world
+    big = uniform_book("BIG", 10, words_per_page=200)
+    books = {"L": left, "R": right, "BIG": big}
+    pooled = []
+
+    def counting(book, *args, **kwargs):
+        pooled.append(book.id)
+        return chunk_vectors(book, *args, **kwargs)
+
+    monkeypatch.setattr(features, "chunk_vectors", counting)
+    pairs = [
+        LabeledPair("L", "R", RelationshipLabel.SW),
+        LabeledPair("R", "L", RelationshipLabel.SW),
+        LabeledPair("L", "GHOST", RelationshipLabel.DIFF),
+        LabeledPair("GHOST", "R", RelationshipLabel.DIFF),
+        LabeledPair("L", "BIG", RelationshipLabel.DIFF),
+        LabeledPair("BIG", "R", RelationshipLabel.DIFF),
+        LabeledPair("L", "R", RelationshipLabel.SW, "synthetic"),
+    ]
+    examples, skipped = featurize_pairs(
+        pairs, books, table, chunk_size=4, matrix_size=6, max_words=100
+    )
+    assert len(examples) == 3
+    assert skipped == {"oversize": 2, "truncated": 0, "missing_book": 2}
+    assert sorted(pooled) == ["L", "R"]
+
+
+def test_pair_vectors_are_centroid_and_difference_of_chunk_sums(small_world):
+    table, left, right = small_world
+    books = {"L": left, "R": right}
+    pairs = [LabeledPair("L", "R", RelationshipLabel.SW),
+             LabeledPair("R", "L", RelationshipLabel.SW),
+             LabeledPair("L", "L", RelationshipLabel.SW)]
+    examples, _ = featurize_pairs(pairs, books, table, chunk_size=1, matrix_size=6)
+    for example in examples:
+        l_vec = chunk_vectors(books[example.left_id], table, 1).sum(axis=0)
+        r_vec = chunk_vectors(books[example.right_id], table, 1).sum(axis=0)
+        assert np.array_equal(example.pair_vector,
+                              np.concatenate([(l_vec + r_vec) / 2, l_vec - r_vec]))
 
 
 def test_featurize_pairs_threads_match_serial(small_world):

@@ -1,8 +1,10 @@
+import json
 import random
+import re
 
 import pytest
 
-from bookrel.corpus import BookMetadata, book_word_count
+from bookrel.corpus import BookFormatError, BookMetadata, book_word_count
 from bookrel.labels import RelationshipLabel
 from bookrel.synth import (
     derive_seed,
@@ -268,6 +270,24 @@ def test_synth_book_json_round_trip(tmp_path):
     save_synth_book(books[0], path)
     again = load_synth_book(path)
     assert again == books[0]
+
+
+def test_load_synth_book_parses_the_file_once(tmp_path, monkeypatch):
+    books, _ = generate(_demo_corpus_for_generate(), {"anthology": 1}, base_seed=4)
+    path = tmp_path / "synth.json"
+    save_synth_book(books[0], path)
+    loads = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda handle: loads.append(1) or real_load(handle))
+    assert load_synth_book(path) == books[0]
+    assert len(loads) == 1
+
+
+def test_load_synth_book_names_a_file_of_invalid_json(tmp_path):
+    path = tmp_path / "synth.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(BookFormatError, match=re.escape(f"{path}: invalid JSON")):
+        load_synth_book(path)
 
 
 def test_word_count_conservation_for_anthology():
