@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -239,13 +240,30 @@ def cmd_featurize(args) -> int:
 
 def _train_config_from(args) -> TrainConfig:
     """Flags beat the JSON config file, which beats TrainConfig's defaults.
-    A config file that is not a JSON object of TrainConfig fields, or that
-    weights an unknown label, raises a ValueError naming the file."""
+    A config file that is not a JSON object of TrainConfig fields, that gives
+    a field a value of the wrong type, or that weights an unknown label,
+    raises a ValueError naming the file."""
     values = _read_train_config(Path(args.config)) if args.config else {}
     for field in dataclasses.fields(TrainConfig):
         if getattr(args, field.name, None) is not None:
             values[field.name] = getattr(args, field.name)
     return TrainConfig(**values)
+
+
+# TrainConfig fields that must be JSON integers; the rest are numbers
+_INTEGER_KEYS = ("epochs", "batch_size", "seed")
+
+
+def _check_number(value, where: str, integer: bool) -> None:
+    """Raise a ValueError naming `where` unless value is an int, or with
+    integer=False a finite int or float. JSON true and false load as bool, a
+    subclass of int, and are refused."""
+    wanted = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{where}: expected {kind}, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value}")
 
 
 def _read_train_config(path: Path) -> dict:
@@ -259,10 +277,19 @@ def _read_train_config(path: Path) -> dict:
     unknown = sorted(set(values) - {field.name for field in dataclasses.fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown}")
+    for name, value in values.items():
+        if name != "class_weights":
+            _check_number(value, f"{path}: {name}", integer=name in _INTEGER_KEYS)
     weights = values.get("class_weights") or {}
+    if not isinstance(weights, dict):
+        raise ValueError(
+            f"{path}: class_weights: expected an object, got {type(weights).__name__}"
+        )
     unknown = sorted(set(weights) - {label.value for label in RelationshipLabel})
     if unknown:
         raise ValueError(f"{path}: class_weights: unknown labels {unknown}")
+    for label, weight in weights.items():
+        _check_number(weight, f"{path}: class_weights: {label}", integer=False)
     if weights:
         values["class_weights"] = {RelationshipLabel(k): float(v) for k, v in weights.items()}
     return values

@@ -110,6 +110,13 @@ def read_json(path: str | Path):
         raise BookFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def write_json(doc, path: str | Path) -> None:
+    """Write doc as one line of compact JSON with sorted keys. json.dumps
+    rather than json.dump: only dumps reaches the C encoder."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def load_book(path: str | Path) -> Book:
     """Load a book JSON file (see `book_from_json`)."""
     return book_from_json(read_json(path), path)
@@ -162,9 +169,7 @@ def book_to_json(book: Book) -> dict:
 
 def save_book(book: Book, path: str | Path) -> None:
     """Write a book as JSON; load_book(save_book(b)) round-trips exactly."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(book_to_json(book), handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+    write_json(book_to_json(book), path)
 
 
 def book_word_count(book: Book) -> int:

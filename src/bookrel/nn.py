@@ -16,6 +16,15 @@ channel, because a zero input there reduces each layer to its bias path; its
 pool2 values and its backward terms are filled in closed form. Results equal
 the full-side computation up to float32 rounding.
 
+A convolution is one matrix product over im2col columns: every output
+cell's k x k x Cin window in (i, j, c) order, the row order of
+w.reshape(k*k*Cin, Cout), made with one copy. Its weight gradient is the
+transposed product over the same columns, and its input gradient adds
+dout @ w[i, j]^T back at each of the k*k shifts (col2im). Pooling compares
+four stride-2 views of the input and keeps the argmax as a uint8 0-3, the
+first maximum winning ties. Adam updates its moments and the parameters in
+place, through buffers allocated once per training run.
+
 Everything is plain numpy: forward, backpropagation, Adam updates, and a
 finite-difference gradient checker that verifies the analytic gradients.
 Training is a pure function of (dataset order, config, seed).
@@ -156,56 +165,80 @@ def init_model(
 
 # --- layer primitives -------------------------------------------------------
 
+def _columns(x: np.ndarray, k: int) -> np.ndarray:
+    """im2col: the (B*H'*W', k*k*Cin) matrix with one row per output cell,
+    its k x k x Cin window in (i, j, c) order to match
+    w.reshape(k*k*Cin, Cout), made with one copy. With one input channel the
+    copy is stored transposed, as k*k shifted images, because rows of k*k
+    single floats copy three to eight times slower; matrix products accept
+    either layout."""
+    cin = x.shape[3]
+    if cin == 1:
+        windows = sliding_window_view(x[..., 0], (k, k), axis=(1, 2))
+        return np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(k * k, -1).T
+    windows = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(windows).reshape(-1, k * k * cin)
+
+
+def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
+    """d(loss)/dw of conv2d, (k, k, Cin, Cout), from the input columns."""
+    cout = dout.shape[3]
+    dw = _columns(x, k).T @ dout.reshape(-1, cout)
+    return dw.reshape(k, k, x.shape[3], cout)
+
+
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid-mode stride-1 2D convolution (cross-correlation).
     x: (B, H, W, Cin), w: (k, k, Cin, Cout) -> (B, H-k+1, W-k+1, Cout)."""
-    k = w.shape[0]
-    windows = sliding_window_view(x, (k, k), axis=(1, 2))
-    return np.tensordot(windows, w, axes=([3, 4, 5], [2, 0, 1]))
+    k, _, cin, cout = w.shape
+    b, h, width, _ = x.shape
+    out = _columns(x, k) @ w.reshape(k * k * cin, cout)
+    return out.reshape(b, h - k + 1, width - k + 1, cout)
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    """Gradients of conv2d: returns (dw, db, dx)."""
-    k = w.shape[0]
-    windows = sliding_window_view(x, (k, k), axis=(1, 2))
-    dw = np.tensordot(windows, dout, axes=([0, 1, 2], [0, 1, 2]))  # (Cin,k,k,Cout)
-    dw = dw.transpose(1, 2, 0, 3)
+    """Gradients of conv2d: returns (dw, db, dx). dx is col2im: for each of
+    the k*k kernel offsets, dout @ w[i, j]^T is added into a zeroed dx at
+    that shift. One product per offset, not one (.., k*k*Cin) product, so
+    that each add reads contiguous rows rather than Cin floats at a time."""
+    k, _, cin, cout = w.shape
+    b, ho, wo, _ = dout.shape
+    dw = _conv_weight_grad(x, dout, k)
     db = dout.sum(axis=(0, 1, 2))
-    padded = np.pad(dout, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0)))
-    dwindows = sliding_window_view(padded, (k, k), axis=(1, 2))
-    flipped = w[::-1, ::-1, :, :]
-    dx = np.tensordot(dwindows, flipped, axes=([3, 4, 5], [3, 0, 1]))
+    flat = dout.reshape(-1, cout)
+    dx = np.zeros(x.shape, dtype=np.result_type(dout, w))
+    for i in range(k):
+        for j in range(k):
+            dx[:, i : i + ho, j : j + wo] += (flat @ w[i, j].T).reshape(b, ho, wo, cin)
     return dw, db, dx
+
+
+def _pool_corners(x: np.ndarray) -> list[np.ndarray]:
+    """The four stride-2 views of 2x2 windows, in (0,0), (0,1), (1,0), (1,1)
+    order; odd trailing rows and columns fall outside every window."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    return [x[:, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1)]
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 stride-2 max pooling with floor cropping on odd sizes. Returns the
-    pooled tensor and the within-window argmax (first maximum on ties)."""
-    b, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    cropped = x[:, : h2 * 2, : w2 * 2, :]
-    win = (
-        cropped.reshape(b, h2, 2, w2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, h2, w2, c, 4)
-    )
-    idx = win.argmax(axis=4)
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-    return out, idx
+    pooled tensor and the within-window argmax as uint8 0-3 (first maximum on
+    ties): each comparison is strict, so a later corner wins only when it is
+    larger."""
+    q0, q1, q2, q3 = _pool_corners(x)
+    top = np.maximum(q0, q1)
+    bottom = np.maximum(q2, q3)
+    lower = bottom > top
+    idx = np.where(lower, q3 > q2, q1 > q0).view(np.uint8)
+    idx |= lower.view(np.uint8) << 1
+    return np.maximum(top, bottom), idx
 
 
 def maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
     """Route each pooled gradient to its window's argmax position only."""
-    b, h, w, c = x_shape
-    h2, w2 = h // 2, w // 2
-    gwin = np.zeros((b, h2, w2, c, 4), dtype=dout.dtype)
-    np.put_along_axis(gwin, idx[..., None], dout[..., None], axis=4)
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, : h2 * 2, : w2 * 2, :] = (
-        gwin.reshape(b, h2, w2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, h2 * 2, w2 * 2, c)
-    )
+    for position, corner in enumerate(_pool_corners(dx)):
+        corner[...] = np.where(idx == position, dout, 0)
     return dx
 
 
@@ -378,11 +411,7 @@ def _backward_batch(model: ClassifierModel, cache: dict, dlogits: np.ndarray) ->
         db2 += gb2
         d_a1 = maxpool2_backward(d_p1, g["idx1"], g["a1_shape"])
         d_z1 = d_a1 * (g["z1"] > 0)
-        dw1 += np.tensordot(
-            sliding_window_view(g["x"], (k, k), axis=(1, 2)),
-            d_z1,
-            axes=([0, 1, 2], [0, 1, 2]),
-        ).transpose(1, 2, 0, 3)
+        dw1 += _conv_weight_grad(g["x"], d_z1, k)
         db1 += d_z1.sum(axis=(0, 1, 2))
     # far field: each constant pool window routes to one z2 = k2 cell whose
     # conv2 window holds c1 = relu(conv1_b) everywhere, and that window's
@@ -467,11 +496,15 @@ def gradient_check(
 # --- training ----------------------------------------------------------------
 
 class AdamState:
-    """First/second moment accumulators, one per parameter tensor."""
+    """First/second moment accumulators, one per parameter tensor, and two
+    scratch buffers per tensor so that a step allocates nothing."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {
+            k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()
+        }
         self.t = 0
 
     def step(
@@ -486,15 +519,27 @@ class AdamState:
         self.t += 1
         correction1 = 1.0 - beta1**self.t
         correction2 = 1.0 - beta2**self.t
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps): the same float32 operations in
+        # the same order, written into the buffers
         for name in PARAM_ORDER:
             g = grads[name].astype(params[name].dtype, copy=False)
-            self.m[name] = beta1 * self.m[name] + (1 - beta1) * g
-            self.v[name] = beta2 * self.v[name] + (1 - beta2) * (g * g)
-            m_hat = self.m[name] / correction1
-            v_hat = self.v[name] / correction2
-            params[name] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
-                params[name].dtype, copy=False
-            )
+            m, v = self.m[name], self.v[name]
+            step, root = self._scratch[name]
+            m *= beta1
+            np.multiply(g, 1 - beta1, out=step)
+            m += step
+            v *= beta2
+            np.multiply(g, g, out=step)
+            step *= 1 - beta2
+            v += step
+            np.divide(m, correction1, out=step)
+            step *= lr
+            np.divide(v, correction2, out=root)
+            np.sqrt(root, out=root)
+            root += eps
+            step /= root
+            params[name] -= step
 
 
 def _stack_dataset(

@@ -17,7 +17,6 @@ Every construction is a pure function of its inputs and seed.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from .corpus import (
     length_percentile,
     make_book,
     read_json,
+    write_json,
 )
 from .enumparse import InvalidRangeError, read_enumeration
 from .labels import INVERSE_LABEL, RelationshipLabel
@@ -348,9 +348,7 @@ def synth_book_to_json(synth: SynthBook) -> dict:
 
 
 def save_synth_book(synth: SynthBook, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(synth_book_to_json(synth), handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+    write_json(synth_book_to_json(synth), path)
 
 
 def load_synth_book(path: str | Path) -> SynthBook:

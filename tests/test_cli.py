@@ -225,7 +225,19 @@ def test_config_file_precedence(pipeline, tmp_path):
     ('{"epochs": 1,', "invalid JSON"),
     ('{"epoch": 1}', "unknown keys ['epoch']"),
     ('{"class_weights": {"PARTOF": 2.0, "XX": 1.0}}', "class_weights: unknown labels ['XX']"),
-], ids=["not-an-object", "invalid-json", "unknown-key", "unknown-label"])
+    ('{"epochs": "2"}', "epochs: expected an integer, got str"),
+    ('{"batch_size": true}', "batch_size: expected an integer, got bool"),
+    ('{"seed": 1.5}', "seed: expected an integer, got float"),
+    ('{"learning_rate": "0.1"}', "learning_rate: expected a number, got str"),
+    ('{"learning_rate": NaN}', "learning_rate: expected a finite number, got nan"),
+    ('{"dropout_flat": null}', "dropout_flat: expected a number, got NoneType"),
+    ('{"dropout_pair": [0.5]}', "dropout_pair: expected a number, got list"),
+    ('{"class_weights": [3.0]}', "class_weights: expected an object, got list"),
+    ('{"class_weights": {"PARTOF": "3"}}', "class_weights: PARTOF: expected a number, got str"),
+], ids=["not-an-object", "invalid-json", "unknown-key", "unknown-label",
+        "epochs-str", "batch-size-bool", "seed-float", "learning-rate-str",
+        "learning-rate-nan", "dropout-flat-null", "dropout-pair-list",
+        "class-weights-list", "class-weight-str"])
 def test_bad_config_file_is_refused_naming_it(pipeline, tmp_path, capsys, text, message):
     config = tmp_path / "train.json"
     config.write_text(text, encoding="utf-8")

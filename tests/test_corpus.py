@@ -125,6 +125,24 @@ def test_save_load_round_trip(tmp_path):
     assert again.metadata == book.metadata
 
 
+def test_save_book_golden_bytes(tmp_path):
+    """One line of compact JSON, keys and tokens sorted, non-ASCII escaped:
+    the README promises byte-identical data files for the same seeds."""
+    book = make_book(
+        "b9",
+        [{"beta": 1, "alpha": 2}, {}],
+        BookMetadata(title="Café Tales", author="An Author",
+                     enumeration_raw="v.2", work_key="w1"),
+    )
+    path = tmp_path / "b9.json"
+    save_book(book, path)
+    assert path.read_bytes() == (
+        b'{"id":"b9","metadata":{"author":"An Author","enumeration":"v.2",'
+        b'"title":"Caf\\u00e9 Tales","work_key":"w1"},'
+        b'"pages":[{"tokens":{"alpha":2,"beta":1}},{"tokens":{}}]}\n'
+    )
+
+
 def test_book_word_count_brute_force():
     counts = [100] * 10
     book = book_with_pages("b", counts)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
 from bookrel.nn import (
     CONV_GROUP,
+    PARAM_ORDER,
     AdamState,
     ClassifierModel,
     ModelConfig,
@@ -66,10 +69,13 @@ def conv2d_oracle(x, w):
 
 
 def maxpool2_oracle(x):
-    """Window-by-window reference pooling with first-argmax gradient routing."""
+    """Window-by-window reference pooling with first-argmax gradient routing:
+    the pooled values, the route (1 at each window's argmax cell) and the
+    argmax as 0-3 in (0,0), (0,1), (1,0), (1,1) order."""
     b, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
     out = np.zeros((b, h2, w2, c))
+    index = np.zeros((b, h2, w2, c), dtype=np.int64)
     route = np.zeros_like(x)
     for n in range(b):
         for i in range(h2):
@@ -79,8 +85,25 @@ def maxpool2_oracle(x):
                     flat = window.reshape(-1)
                     best = int(np.argmax(flat))
                     out[n, i, j, ch] = flat[best]
+                    index[n, i, j, ch] = best
                     route[n, 2 * i + best // 2, 2 * j + best % 2, ch] = 1.0
-    return out, route
+    return out, route, index
+
+
+def conv2d_backward_oracle(x, w, dout):
+    """Float64 shifted-slice reference gradients (dw, db, dx): kernel offset
+    (i, j) pairs the input slice it reads with the whole output gradient."""
+    k = w.shape[0]
+    ho, wo = dout.shape[1:3]
+    x, w, dout = (np.asarray(a, dtype=np.float64) for a in (x, w, dout))
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x)
+    for i in range(k):
+        for j in range(k):
+            window = x[:, i : i + ho, j : j + wo, :]
+            dw[i, j] = np.einsum("bhwc,bhwo->co", window, dout)
+            dx[:, i : i + ho, j : j + wo, :] += dout @ w[i, j].T
+    return dw, dout.sum(axis=(0, 1, 2)), dx
 
 
 def test_conv2d_matches_oracle():
@@ -99,7 +122,7 @@ def test_maxpool_matches_oracle():
         b, h, w, c = rng.integers(1, 4), rng.integers(2, 9), rng.integers(2, 9), rng.integers(1, 4)
         x = rng.standard_normal((b, h, w, c))
         pooled, idx = maxpool2(x)
-        expected, _ = maxpool2_oracle(x)
+        expected, _, _ = maxpool2_oracle(x)
         assert np.allclose(pooled, expected)
 
 
@@ -108,7 +131,7 @@ def test_maxpool_backward_routes_to_first_argmax_on_ties():
     pooled, idx = maxpool2(x)
     dout = np.ones_like(pooled)
     dx = maxpool2_backward(dout, idx, x.shape)
-    _, route = maxpool2_oracle(x)
+    _, route, _ = maxpool2_oracle(x)
     assert np.array_equal(dx, route)
     assert dx.sum() == pooled.size  # each window routed exactly once
 
@@ -119,10 +142,58 @@ def test_maxpool_backward_matches_routing_oracle():
     pooled, idx = maxpool2(x)
     dout = rng.standard_normal(pooled.shape)
     dx = maxpool2_backward(dout, idx, x.shape)
-    _, route = maxpool2_oracle(x)
+    _, route, _ = maxpool2_oracle(x)
     # gradient lands exactly on the argmax cells
     assert np.array_equal(dx != 0, (route * np.abs(dx)) != 0)
     assert np.allclose(dx.sum(), dout.sum())
+
+
+@pytest.mark.parametrize("cin,height,width", [(1, 9, 7), (8, 11, 6), (8, 5, 8)])
+def test_conv2d_and_backward_match_shifted_slice_oracle(cin, height, width):
+    rng = np.random.default_rng(cin * 100 + height)
+    x = rng.standard_normal((2, height, width, cin))
+    w = rng.standard_normal((3, 3, cin, 5))
+    dout = rng.standard_normal((2, height - 2, width - 2, 5))
+    assert np.allclose(conv2d(x, w), conv2d_oracle(x, w), rtol=1e-12, atol=1e-12)
+    for got, want in zip(conv2d_backward(x, w, dout), conv2d_backward_oracle(x, w, dout)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    # float32 in, float32 out, within float32 rounding of the float64 oracle
+    x32, w32, dout32 = (a.astype(np.float32) for a in (x, w, dout))
+    assert conv2d(x32, w32).dtype == np.float32
+    assert np.allclose(conv2d(x32, w32), conv2d_oracle(x32, w32), rtol=1e-5, atol=1e-5)
+    for got, want in zip(conv2d_backward(x32, w32, dout32),
+                         conv2d_backward_oracle(x32, w32, dout32)):
+        assert got.dtype == np.float32
+        assert np.allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 5, 3), (1, 9, 4, 2), (3, 5, 5, 1), (1, 2, 3, 4)])
+@pytest.mark.parametrize("relu", [False, True], ids=["signed", "relu"])
+def test_maxpool_index_and_routing_match_oracle(shape, relu):
+    """Odd sizes drop the trailing row/column; after ReLU many windows tie at
+    zero, and the first position (top-left) wins every tie."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape).astype(np.float32)
+    if relu:
+        x = np.maximum(x, 0)
+        x[:, :2, :2] = 0  # at least one four-way tie per example and channel
+    pooled, idx = maxpool2(x)
+    want, route, want_idx = maxpool2_oracle(x)
+    assert idx.dtype == np.uint8
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(pooled, want)
+    if relu:
+        all_zero = want == 0
+        assert all_zero[:, 0, 0].all()
+        assert np.array_equal(idx[all_zero], np.zeros(all_zero.sum(), dtype=np.uint8))
+    dout = rng.standard_normal(pooled.shape).astype(np.float32)
+    dx = maxpool2_backward(dout, idx, x.shape)
+    assert dx.dtype == np.float32
+    spread = np.zeros_like(route)
+    h2, w2 = pooled.shape[1:3]
+    spread[:, : 2 * h2, : 2 * w2] = dout.repeat(2, axis=1).repeat(2, axis=2)
+    assert np.array_equal(dx, route * spread)
 
 
 def test_conv2d_backward_input_gradient_shape():
@@ -490,6 +561,56 @@ def test_class_order_preserved(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     assert load_model(path).class_list == [DIFF, SW, DV]
+
+
+def test_adam_step_matches_textbook_update_bit_for_bit():
+    """30 in-place steps equal m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) evaluated with fresh float32 arrays,
+    and every tensor keeps its own state buffers."""
+    rng = np.random.default_rng(7)
+    shapes = [(3, 3, 1, 2), (2,), (3, 3, 2, 4), (4,), (6, 5), (5,), (9, 7), (7,), (7, 3), (3,)]
+    params = {name: rng.standard_normal(shape).astype(np.float32)
+              for name, shape in zip(PARAM_ORDER, shapes)}
+    want_p = {name: value.copy() for name, value in params.items()}
+    want_m = {name: np.zeros_like(value) for name, value in params.items()}
+    want_v = {name: np.zeros_like(value) for name, value in params.items()}
+    state = AdamState(params)
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 31):
+        grads = {name: (rng.standard_normal(value.shape) * 10.0 ** rng.integers(-4, 3))
+                 .astype(np.float32) for name, value in params.items()}
+        state.step(params, grads, lr)
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for name, g in grads.items():
+            want_m[name] = b1 * want_m[name] + (1 - b1) * g
+            want_v[name] = b2 * want_v[name] + (1 - b2) * (g * g)
+            want_p[name] = want_p[name] - lr * (want_m[name] / c1) / (
+                np.sqrt(want_v[name] / c2) + eps
+            )
+    for name in PARAM_ORDER:
+        assert params[name].dtype == state.m[name].dtype == np.float32
+        assert np.array_equal(params[name], want_p[name])
+        assert np.array_equal(state.m[name], want_m[name])
+        assert np.array_equal(state.v[name], want_v[name])
+    buffers = [*params.values(), *state.m.values(), *state.v.values()]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_adam_step_allocates_no_tensor_sized_buffer():
+    shapes = dict.fromkeys(PARAM_ORDER, (256, 256))
+    params = {name: np.ones(shape, dtype=np.float32) for name, shape in shapes.items()}
+    grads = {name: np.full(shape, 0.5, dtype=np.float32) for name, shape in shapes.items()}
+    state = AdamState(params)
+    state.step(params, grads, lr=1e-3)
+    tracemalloc.start()
+    try:
+        state.step(params, grads, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 4 // 4
 
 
 def test_adam_moves_parameters_toward_gradient():
