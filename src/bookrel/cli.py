@@ -355,7 +355,7 @@ def cmd_evaluate(args) -> int:
     config = ExperimentConfig(
         condition=args.condition,
         synth_fraction=args.synth_fraction if args.condition != "nofake" else 0.0,
-        seed=args.seed if args.seed is not None else train_config.seed,
+        seed=train_config.seed,
         train_config=train_config,
     )
     report = run_condition(real, synthetic, config)
@@ -390,8 +390,7 @@ def cmd_sweep(args) -> int:
     train_config = _train_config_from(args)
     real, synthetic = _split_by_provenance(load_features(args.features))
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
-    seed = args.seed if args.seed is not None else train_config.seed
-    rows = ratio_sweep(real, synthetic, fractions, seed, train_config)
+    rows = ratio_sweep(real, synthetic, fractions, train_config.seed, train_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = []
@@ -405,7 +404,7 @@ def cmd_sweep(args) -> int:
     _write_run_manifest(out, "sweep",
                         {"features": args.features, "fractions": fractions,
                          "train_config": train_config.__dict__},
-                        {"seed": seed}, [args.features],
+                        {"seed": train_config.seed}, [args.features],
                         ["sweep.tsv"], started)
     return 0
 

@@ -6,9 +6,11 @@ A book file is a single JSON object::
      "metadata": {"title": "...", "author": "...", "enumeration": "...", "work_key": "..."},
      "pages": [{"tokens": {"the": 12, "cat": 3}}, ...]}
 
-Pages are indexed by their position in the file; token keys are lowercased
-at ingest (counts of case variants are merged). Token order within a page is
-never recorded: downstream featurization only ever sums per-token vectors.
+A page has no number of its own: its place is its position in the book's
+page list, in the file as in memory. Token keys are lowercased wherever a
+page is made, whether read from a file or built in memory (counts of case
+variants are merged). Token order within a page is never recorded:
+downstream featurization only ever sums per-token vectors.
 """
 
 from __future__ import annotations
@@ -42,21 +44,37 @@ class BookMetadata:
 class Page:
     """One scanned page reduced to lowercase token counts.
 
+    The one place a page is made: keys must be strings and counts positive
+    ints; keys are lowercased and the counts of case variants merged.
     `word_count` is derived from `tokens`; a page with no tokens (a blank
-    scan) is legal and has word_count 0.
+    scan) is legal and has word_count 0. Pages carry no position, so books
+    built from other books share their Page objects.
     """
 
-    index: int
     tokens: dict[str, int]
     word_count: int = field(init=False)
 
     def __post_init__(self):
-        for token, count in self.tokens.items():
+        raw = self.tokens
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a token-count object, got {type(raw).__name__}")
+        for token, count in raw.items():
+            if not isinstance(token, str):
+                raise ValueError(f"non-string token {token!r}")
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ValueError(
-                    f"page {self.index}: token {token!r} has invalid count {count!r}"
-                )
-        object.__setattr__(self, "word_count", sum(self.tokens.values()))
+                raise ValueError(f"token {token!r} has invalid count {count!r}")
+        # One lower() of all keys at once: it leaves the string unchanged
+        # exactly when it leaves every key unchanged, the usual case.
+        joined = "".join(raw)
+        if joined == joined.lower():
+            tokens = dict(raw)
+        else:
+            tokens = {}
+            for token, count in raw.items():
+                key = token.lower()
+                tokens[key] = tokens.get(key, 0) + count
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "word_count", sum(tokens.values()))
 
 
 @dataclass(frozen=True)
@@ -68,13 +86,7 @@ class Book:
     def __post_init__(self):
         object.__setattr__(self, "pages", tuple(self.pages))
         if not self.pages:
-            raise ValueError(f"book {self.id!r} has no pages")
-        for position, page in enumerate(self.pages):
-            if page.index != position:
-                raise ValueError(
-                    f"book {self.id!r}: page at position {position} "
-                    f"has index {page.index}"
-                )
+            raise ValueError(f"book {self.id!r} has an empty page list")
 
 
 def make_book(
@@ -82,23 +94,15 @@ def make_book(
     page_tokens: Sequence[dict[str, int]],
     metadata: BookMetadata | None = None,
 ) -> Book:
-    """Build a Book from raw per-page token maps, assigning indices 0..n-1."""
-    pages = tuple(Page(i, dict(tokens)) for i, tokens in enumerate(page_tokens))
-    return Book(book_id, pages, metadata or BookMetadata())
-
-
-def _lowercase_tokens(raw: dict, page_index: int) -> dict[str, int]:
-    tokens: dict[str, int] = {}
-    for token, count in raw.items():
-        if not isinstance(token, str):
-            raise BookFormatError(f"page {page_index}: non-string token {token!r}")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise BookFormatError(
-                f"page {page_index}: token {token!r} has invalid count {count!r}"
-            )
-        key = token.lower()
-        tokens[key] = tokens.get(key, 0) + count
-    return tokens
+    """Build a Book from raw per-page token maps; a bad page's error names
+    its position."""
+    pages = []
+    for position, tokens in enumerate(page_tokens):
+        try:
+            pages.append(Page(tokens))
+        except ValueError as exc:
+            raise ValueError(f"page {position}: {exc}") from exc
+    return Book(book_id, tuple(pages), metadata or BookMetadata())
 
 
 def read_json(path: str | Path):
@@ -131,27 +135,26 @@ def book_from_json(doc, path: str | Path) -> Book:
         raise BookFormatError(f"{path}: expected an object with 'id' and 'pages'")
     if not isinstance(doc["pages"], list):
         raise BookFormatError(f"{path}: 'pages' must be a list")
-    if not doc["pages"]:
-        raise BookFormatError(f"{path}: book has an empty page list")
 
-    meta_raw = doc.get("metadata") or {}
+    meta_raw = {} if doc.get("metadata") is None else doc["metadata"]
+    if not isinstance(meta_raw, dict):
+        raise BookFormatError(f"{path}: 'metadata' must be an object")
+    for key in ("title", "author", "enumeration", "work_key"):
+        if meta_raw.get(key) is not None and not isinstance(meta_raw[key], str):
+            raise BookFormatError(f"{path}: metadata {key!r} must be a string")
     metadata = BookMetadata(
-        title=meta_raw.get("title", "") or "",
-        author=meta_raw.get("author", "") or "",
+        title=meta_raw.get("title") or "",
+        author=meta_raw.get("author") or "",
         enumeration_raw=meta_raw.get("enumeration") or None,
         work_key=meta_raw.get("work_key") or None,
     )
 
-    pages = []
-    for position, entry in enumerate(doc["pages"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("tokens"), dict):
-            raise BookFormatError(f"{path}: page {position} lacks a 'tokens' object")
-        try:
-            tokens = _lowercase_tokens(entry["tokens"], position)
-        except BookFormatError as exc:
-            raise BookFormatError(f"{path}: {exc}") from exc
-        pages.append(Page(position, tokens))
-    return Book(str(doc["id"]), tuple(pages), metadata)
+    page_tokens = [entry.get("tokens") if isinstance(entry, dict) else entry
+                   for entry in doc["pages"]]
+    try:
+        return make_book(str(doc["id"]), page_tokens, metadata)
+    except ValueError as exc:
+        raise BookFormatError(f"{path}: {exc}") from exc
 
 
 def book_to_json(book: Book) -> dict:

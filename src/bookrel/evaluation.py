@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Book, BookMetadata, Page
+from .corpus import Book, BookMetadata, make_book
 from .embed import EmbeddingTable
 from .features import LabeledPair, PairExample
 from .labels import (
@@ -26,7 +26,7 @@ from .labels import (
     canonical_class_list,
 )
 from . import nn
-from .nn import ClassifierModel, ModelConfig, TrainConfig
+from .nn import ClassifierModel, TrainConfig
 
 TEST_BUCKET_PERCENT = 20  # fixed 80/20 split on a hash of the pair ids
 SCORE_BATCH = 32  # pairs per forward pass when scoring; at most about 3 MB each at side 150
@@ -240,7 +240,6 @@ def run_condition(
     real: Sequence[PairExample],
     synth: Sequence[PairExample],
     config: ExperimentConfig,
-    model_config: ModelConfig | None = None,
 ) -> ConditionReport:
     """Train one condition and evaluate it on the held-out real pairs."""
     train_set, test_set, n_real = build_condition_dataset(real, synth, config)
@@ -248,7 +247,7 @@ def run_condition(
         raise ValueError("condition produced an empty training set")
     train_config = TrainConfig(**{**config.train_config.__dict__, "seed": config.seed})
     class_list = canonical_class_list(ex.label for ex in train_set)
-    model, history = nn.train(train_set, train_config, model_config, class_list)
+    model, history = nn.train(train_set, train_config, class_list=class_list)
     confusion = evaluate_model(model, test_set)
     return ConditionReport(
         condition=config.condition,
@@ -282,7 +281,6 @@ def ratio_sweep(
     fractions: Sequence[float],
     seed: int,
     train_config: TrainConfig,
-    model_config: ModelConfig | None = None,
 ) -> list[SweepRow]:
     """One mixed-condition run per fraction with a shared seed and test split.
     Fraction 0 coincides with the nofake baseline by construction."""
@@ -290,7 +288,7 @@ def ratio_sweep(
     rows = []
     for fraction in fractions:
         config = ExperimentConfig("mixed", fraction, seed, train_config)
-        report = run_condition(real, synth, config, model_config)
+        report = run_condition(real, synth, config)
         rows.append(
             SweepRow(
                 fraction=fraction,
@@ -404,7 +402,7 @@ _TOPIC_SHARE = 0.8  # tokens drawn from the work topic; the rest is background
 
 
 def _perturb_pages(
-    pages: Sequence[Page],
+    pages: Sequence[dict[str, int]],
     rng: np.random.Generator,
     background: Sequence[str],
     keep_prob: float = 0.97,
@@ -414,7 +412,7 @@ def _perturb_pages(
     out = []
     for page in pages:
         tokens: dict[str, int] = {}
-        for token, count in sorted(page.tokens.items()):
+        for token, count in sorted(page.items()):
             kept = int(rng.binomial(count, keep_prob))
             if kept > 0:
                 tokens[token] = kept
@@ -528,6 +526,15 @@ def generate_demo_corpus(
     books: list[Book] = []
     catalog: list[tuple[str, str, str]] = []
 
+    def emit(work: int, suffix: str, page_maps, enumeration_raw: str) -> None:
+        """Add book w<work>.<suffix> of the work's title and author, and its
+        catalog row."""
+        book_id, work_key = f"w{work:03d}.{suffix}", f"work{work:03d}"
+        metadata = BookMetadata(f"Studies in subject {work:03d}", f"Author {work % 23:02d}",
+                                enumeration_raw, work_key)
+        books.append(make_book(book_id, page_maps, metadata))
+        catalog.append((book_id, work_key, enumeration_raw))
+
     n_dup = int(round(duplicate_fraction * n_works))
     dup_works = set(int(i) for i in rng.choice(n_works, size=n_dup, replace=False))
     combined_set = set(
@@ -535,9 +542,6 @@ def generate_demo_corpus(
     )
 
     for work in range(n_works):
-        work_key = f"work{work:03d}"
-        title = f"Studies in subject {work:03d}"
-        author = f"Author {work % 23:02d}"
         topic_vocab = [f"w{work:03d}t{j:02d}" for j in range(vocab.topic_words)]
 
         center = rng.standard_normal(vocab.dimension)
@@ -560,33 +564,14 @@ def generate_demo_corpus(
                 vocab.section_pages, vocab.section_sigma,
             )
             volume_pages[volume] = page_maps
-            book_id = f"w{work:03d}.v{volume}"
             spelling = _VOLUME_SPELLINGS[int(rng.integers(0, len(_VOLUME_SPELLINGS)))]
-            metadata = BookMetadata(
-                title=title, author=author,
-                enumeration_raw=spelling.format(n=volume), work_key=work_key,
-            )
-            books.append(
-                Book(book_id,
-                     tuple(Page(i, t) for i, t in enumerate(page_maps)), metadata)
-            )
-            catalog.append((book_id, work_key, metadata.enumeration_raw))
+            emit(work, f"v{volume}", page_maps, spelling.format(n=volume))
 
         if work in dup_works:
             volume = int(rng.integers(1, vols_per_work + 1))
-            source = [Page(i, t) for i, t in enumerate(volume_pages[volume])]
-            perturbed = _perturb_pages(source, rng, background)
-            book_id = f"w{work:03d}.v{volume}.c2"
+            perturbed = _perturb_pages(volume_pages[volume], rng, background)
             spelling = _VOLUME_SPELLINGS[int(rng.integers(0, len(_VOLUME_SPELLINGS)))]
-            metadata = BookMetadata(
-                title=title, author=author,
-                enumeration_raw=spelling.format(n=volume), work_key=work_key,
-            )
-            books.append(
-                Book(book_id,
-                     tuple(Page(i, t) for i, t in enumerate(perturbed)), metadata)
-            )
-            catalog.append((book_id, work_key, metadata.enumeration_raw))
+            emit(work, f"v{volume}.c2", perturbed, spelling.format(n=volume))
 
         if work in combined_set and vols_per_work >= 2:
             start = int(rng.integers(1, vols_per_work))
@@ -596,21 +581,13 @@ def generate_demo_corpus(
             merged: list[dict[str, int]] = []
             keep_prob = float(rng.uniform(0.90, 0.97))
             for volume in span:
-                source = [Page(i, t) for i, t in enumerate(volume_pages[volume])]
-                merged.extend(_perturb_pages(source, rng, background, keep_prob))
+                merged.extend(_perturb_pages(volume_pages[volume], rng, background, keep_prob))
             # a bound-together printing reflows onto its own page boundaries,
             # so real whole-part pairs are noisier than synthetic ones
             merged = _repaginate(merged, rng, page_words)
-            book_id = f"w{work:03d}.v{start}-{start + length - 1}"
+            end = start + length - 1
             spelling = _RANGE_SPELLINGS[int(rng.integers(0, len(_RANGE_SPELLINGS)))]
-            raw = spelling.format(a=start, b=start + length - 1)
-            metadata = BookMetadata(
-                title=title, author=author, enumeration_raw=raw, work_key=work_key
-            )
-            books.append(
-                Book(book_id, tuple(Page(i, t) for i, t in enumerate(merged)), metadata)
-            )
-            catalog.append((book_id, work_key, raw))
+            emit(work, f"v{start}-{end}", merged, spelling.format(a=start, b=end))
 
     table = EmbeddingTable(vocab.dimension, vectors)
     return DemoCorpus(books, catalog, table)

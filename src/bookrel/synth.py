@@ -31,7 +31,6 @@ from .corpus import (
     book_word_count,
     dedup_by_author_title,
     length_percentile,
-    make_book,
     read_json,
     write_json,
 )
@@ -64,9 +63,10 @@ def derive_seed(base_seed: int, kind: str, ordinal: int) -> int:
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 
-def trim_matter(book: Book, rng: random.Random) -> tuple[
-    tuple[Page, ...], tuple[Page, ...], tuple[Page, ...]
-]:
+Trimmed = tuple[tuple[Page, ...], tuple[Page, ...], tuple[Page, ...]]
+
+
+def trim_matter(book: Book, rng: random.Random) -> Trimmed:
     """Split a book into (front, middle, back) by removing up to 10 pages from
     each end. Draws are clamped to floor((pages-1)/2) so the middle is never
     empty, whatever the draws were."""
@@ -75,9 +75,29 @@ def trim_matter(book: Book, rng: random.Random) -> tuple[
     front_n = min(rng.randint(0, MAX_TRIM_PAGES), bound)
     back_n = min(rng.randint(0, MAX_TRIM_PAGES), bound)
     front = book.pages[:front_n]
-    back = book.pages[n - back_n :] if back_n else ()
+    back = book.pages[n - back_n :]
     middle = book.pages[front_n : n - back_n]
     return front, middle, back
+
+
+def _assemble(
+    kind: str,
+    book_id: str,
+    components: Sequence[Book],
+    trimmed: Sequence[Trimmed],
+    donor: int,
+    seed: int,
+) -> tuple[Book, SynthRecipe]:
+    """Bind components into one book from their own Page objects: the
+    donor's front, every component's middle in order, the donor's back.
+    `trimmed[i]` is component i's (front, middle, back)."""
+    front, _, back = trimmed[donor]
+    middles = tuple(page for _, middle, _ in trimmed for page in middle)
+    donor_meta = components[donor].metadata
+    metadata = BookMetadata(title=donor_meta.title, author=donor_meta.author)
+    trims = tuple((len(f), len(b)) for f, _, b in trimmed)
+    recipe = SynthRecipe(kind, tuple(c.id for c in components), seed, trims)
+    return Book(book_id, front + middles + back, metadata), recipe
 
 
 def _concatenate(
@@ -85,28 +105,15 @@ def _concatenate(
     components: Sequence[Book],
     rng: random.Random,
     seed: int,
-    book_id: str,
-) -> tuple[Book, SynthRecipe]:
-    """Shared anthology-style construction: one component donates its front
-    and back pages, all middles are stacked in component order."""
-    donor_index = rng.randrange(len(components))
-    trims: list[tuple[int, int]] = []
-    fronts, middles, backs = [], [], []
-    for component in components:
-        front, middle, back = trim_matter(component, rng)
-        trims.append((len(front), len(back)))
-        fronts.append(front)
-        middles.append(middle)
-        backs.append(back)
-    pages: list[Page] = list(fronts[donor_index])
-    for middle in middles:
-        pages.extend(middle)
-    pages.extend(backs[donor_index])
-    donor_meta = components[donor_index].metadata
-    metadata = BookMetadata(title=donor_meta.title, author=donor_meta.author)
-    book = make_book(book_id, [p.tokens for p in pages], metadata)
-    recipe = SynthRecipe(kind, tuple(c.id for c in components), seed, tuple(trims))
-    return book, recipe
+    ordinal: int,
+) -> SynthBook:
+    """Anthology-style construction: a random donor, then each component
+    trimmed in order. The result CONTAINS each component."""
+    donor = rng.randrange(len(components))
+    trimmed = [trim_matter(component, rng) for component in components]
+    book_id = f"synth:{kind}:{seed}:{ordinal}"
+    book, recipe = _assemble(kind, book_id, components, trimmed, donor, seed)
+    return SynthBook(book, recipe, tuple((c.id, RelationshipLabel.CONTAINS) for c in components))
 
 
 def make_anthology(
@@ -118,10 +125,7 @@ def make_anthology(
     """Bind several short books into one; the result CONTAINS each component."""
     if len(components) < 2:
         raise ValueError(f"anthology needs >= 2 components, got {len(components)}")
-    book_id = f"synth:anthology:{seed}:{ordinal}"
-    book, recipe = _concatenate("anthology", components, rng, seed, book_id)
-    relations = tuple((c.id, RelationshipLabel.CONTAINS) for c in components)
-    return SynthBook(book, recipe, relations)
+    return _concatenate("anthology", components, rng, seed, ordinal)
 
 
 def make_combined(
@@ -136,10 +140,7 @@ def make_combined(
     work_keys = {v.metadata.work_key for v in volumes}
     if len(work_keys) != 1 or None in work_keys:
         raise ValueError(f"volumes do not share a work_key: {sorted(map(str, work_keys))}")
-    book_id = f"synth:combined:{seed}:{ordinal}"
-    book, recipe = _concatenate("combined", volumes, rng, seed, book_id)
-    relations = tuple((v.id, RelationshipLabel.CONTAINS) for v in volumes)
-    return SynthBook(book, recipe, relations)
+    return _concatenate("combined", volumes, rng, seed, ordinal)
 
 
 def make_split(
@@ -156,18 +157,13 @@ def make_split(
     k = min(rng.randint(2, 4), len(middle))
     cuts = sorted(rng.sample(range(1, len(middle)), k - 1))
     bounds = [0, *cuts, len(middle)]
-    trims = ((len(front), len(back)),)
-    parts: list[SynthBook] = []
-    for part_no in range(k):
-        run = middle[bounds[part_no] : bounds[part_no + 1]]
-        part_id = f"synth:split:{seed}:{ordinal}.{part_no}"
-        meta = BookMetadata(title=book.metadata.title, author=book.metadata.author)
-        part_book = make_book(part_id, [p.tokens for p in run], meta)
-        recipe = SynthRecipe("split", (book.id,), seed, trims)
-        parts.append(
-            SynthBook(part_book, recipe, ((book.id, RelationshipLabel.PARTOF),))
-        )
-    return parts
+    meta = BookMetadata(title=book.metadata.title, author=book.metadata.author)
+    recipe = SynthRecipe("split", (book.id,), seed, ((len(front), len(back)),))
+    relations = ((book.id, RelationshipLabel.PARTOF),)
+    return [
+        SynthBook(Book(f"synth:split:{seed}:{ordinal}.{i}", middle[lo:hi], meta), recipe, relations)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def make_overlap_pair(
@@ -195,32 +191,23 @@ def make_overlap_pair(
 
     # Trim each distinct component exactly once so the shared middles appear
     # verbatim in both books.
-    trimmed: dict[str, tuple[tuple[Page, ...], tuple[Page, ...], tuple[Page, ...]]] = {}
+    trimmed: dict[str, Trimmed] = {}
     for component in (*left_components, *right_components):
         if component.id not in trimmed:
             trimmed[component.id] = trim_matter(component, rng)
-    donor_left = left_components[rng.randrange(len(left_components))]
-    donor_right = right_components[rng.randrange(len(right_components))]
-
-    def build(book_id: str, components: Sequence[Book], donor: Book) -> tuple[Book, SynthRecipe]:
-        front, _, back = trimmed[donor.id]
-        pages: list[Page] = list(front)
-        for component in components:
-            pages.extend(trimmed[component.id][1])
-        pages.extend(back)
-        metadata = BookMetadata(title=donor.metadata.title, author=donor.metadata.author)
-        trims = tuple(
-            (len(trimmed[c.id][0]), len(trimmed[c.id][2])) for c in components
-        )
-        recipe = SynthRecipe(
-            "overlap_pair", tuple(c.id for c in components), seed, trims
-        )
-        return make_book(book_id, [p.tokens for p in pages], metadata), recipe
+    donor_left = rng.randrange(len(left_components))
+    donor_right = rng.randrange(len(right_components))
 
     left_id = f"synth:overlap:{seed}:{ordinal}.0"
     right_id = f"synth:overlap:{seed}:{ordinal}.1"
-    left_book, left_recipe = build(left_id, left_components, donor_left)
-    right_book, right_recipe = build(right_id, right_components, donor_right)
+    left_book, left_recipe = _assemble(
+        "overlap_pair", left_id, left_components,
+        [trimmed[c.id] for c in left_components], donor_left, seed,
+    )
+    right_book, right_recipe = _assemble(
+        "overlap_pair", right_id, right_components,
+        [trimmed[c.id] for c in right_components], donor_right, seed,
+    )
     left = SynthBook(left_book, left_recipe, ((right_id, RelationshipLabel.OVERLAPS),))
     right = SynthBook(right_book, right_recipe, ((left_id, RelationshipLabel.OVERLAPS),))
     return left, right
@@ -351,21 +338,53 @@ def save_synth_book(synth: SynthBook, path: str | Path) -> None:
     write_json(synth_book_to_json(synth), path)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(item_ok, length=None):
+    return lambda value: isinstance(value, list) and all(map(item_ok, value)) and (
+        length is None or len(value) == length
+    )
+
+
+_LABELS = frozenset(label.value for label in RelationshipLabel)
+
+
+def _is_relation(value) -> bool:
+    return _list_of(_is_str, 2)(value) and value[1] in _LABELS
+
+
+_RECIPE_FIELDS = (
+    ("kind", _is_str, "a string"),
+    ("component_ids", _list_of(_is_str), "a list of strings"),
+    ("seed", _is_int, "an integer"),
+    ("trims", _list_of(_list_of(_is_int, 2)), "a list of [front, back] integers"),
+    ("relations", _list_of(_is_relation), "a list of [book id, relationship label] pairs"),
+)
+
+
 def load_synth_book(path: str | Path) -> SynthBook:
+    """Load a synthetic book file; a malformed `synthetic` object raises a
+    ValueError naming the path."""
     doc = read_json(path)
     book = book_from_json(doc, path)
     info = doc.get("synthetic")
     if not isinstance(info, dict):
         raise ValueError(f"{path}: not a synthetic book file")
+    for key, ok, expected in _RECIPE_FIELDS:
+        if key not in info:
+            raise ValueError(f"{path}: 'synthetic' lacks {key!r}")
+        if not ok(info[key]):
+            raise ValueError(f"{path}: synthetic {key!r} must be {expected}")
     recipe = SynthRecipe(
-        kind=info["kind"],
-        component_ids=tuple(info["component_ids"]),
-        seed=int(info["seed"]),
-        trims=tuple((int(f), int(b)) for f, b in info["trims"]),
+        info["kind"], tuple(info["component_ids"]), info["seed"], tuple(map(tuple, info["trims"]))
     )
-    relations = tuple(
-        (other, RelationshipLabel(label)) for other, label in info["relations"]
-    )
+    relations = tuple((other, RelationshipLabel(label)) for other, label in info["relations"])
     return SynthBook(book, recipe, relations)
 
 

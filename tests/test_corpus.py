@@ -58,7 +58,6 @@ def test_load_book_keeps_file_order_and_reindexes(tmp_path):
         },
     )
     book = load_book(path)
-    assert [p.index for p in book.pages] == [0, 1]
     assert "last" in book.pages[0].tokens
 
 
@@ -87,6 +86,17 @@ def test_load_book_rejects_bad_counts_naming_page(tmp_path):
         load_book(path)
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"index": 1}, "page 1: expected a token-count object, got NoneType"),
+    ([["a", 1]], "page 1: expected a token-count object, got list"),
+    ({"tokens": {"a": "1"}}, "page 1: token 'a' has invalid count '1'"),
+], ids=["no-tokens", "not-an-object", "string-count"])
+def test_load_book_rejects_bad_page_naming_path(tmp_path, entry, message):
+    path = write_book_file(tmp_path, {"id": "b1", "pages": [{"tokens": {"a": 1}}, entry]})
+    with pytest.raises(BookFormatError, match=re.escape(f"{path}: {message}")):
+        load_book(path)
+
+
 def test_load_book_rejects_empty_page_list(tmp_path):
     path = write_book_file(tmp_path, {"id": "b1", "pages": []})
     with pytest.raises(BookFormatError, match="empty page list"):
@@ -103,6 +113,21 @@ def test_load_book_rejects_invalid_json(tmp_path):
 def test_book_from_json_inverts_book_to_json():
     book = make_book("b9", [{"alpha": 2}, {}], BookMetadata(title="T", work_key="w1"))
     assert book_from_json(book_to_json(book), "b9.json") == book
+
+
+@pytest.mark.parametrize("metadata,message", [
+    ([1], "'metadata' must be an object"),
+    ({"title": 3}, "metadata 'title' must be a string"),
+    ({"author": ["A"]}, "metadata 'author' must be a string"),
+    ({"enumeration": 2}, "metadata 'enumeration' must be a string"),
+    ({"work_key": {"w": 1}}, "metadata 'work_key' must be a string"),
+], ids=["metadata", "title", "author", "enumeration", "work_key"])
+def test_load_book_rejects_bad_metadata_naming_path(tmp_path, metadata, message):
+    path = write_book_file(
+        tmp_path, {"id": "b", "metadata": metadata, "pages": [{"tokens": {"a": 1}}]}
+    )
+    with pytest.raises(BookFormatError, match=re.escape(f"{path}: {message}")):
+        load_book(path)
 
 
 def test_book_from_json_names_the_path():
@@ -154,9 +179,43 @@ def test_book_word_count_trivial_cases():
     assert book_word_count(book_with_pages("b", [0])) == 0
 
 
-def test_book_requires_contiguous_indices():
-    with pytest.raises(ValueError, match="position 1"):
-        Book("b", (Page(0, {"a": 1}), Page(2, {"b": 1})))
+def test_page_lowercases_and_merges():
+    assert Page({"The": 2, "the": 1}).tokens == {"the": 3}
+
+
+@given(st.dictionaries(st.text(max_size=4), st.integers(min_value=1, max_value=9),
+                       max_size=8))
+def test_page_matches_per_token_lowercasing(raw):
+    expected: dict[str, int] = {}
+    for token, count in raw.items():
+        expected[token.lower()] = expected.get(token.lower(), 0) + count
+    assert Page(raw).tokens == expected
+
+
+def test_page_rejects_bad_tokens():
+    with pytest.raises(ValueError, match="non-string token 3"):
+        Page({3: 1})
+    with pytest.raises(ValueError, match="token 'a' has invalid count True"):
+        Page({"a": True})
+
+
+def test_make_book_names_the_bad_page():
+    with pytest.raises(ValueError, match=re.escape("page 1: token 'b' has invalid count 0")):
+        make_book("b", [{"a": 1}, {"b": 0}])
+
+
+def test_books_share_pages():
+    book = make_book("b", [{"a": 1}, {"b": 2}])
+    again = Book("c", book.pages[::-1])
+    assert again.pages[0] is book.pages[1]
+
+
+def test_upper_case_book_round_trips(tmp_path):
+    book = make_book("b", [{"Alpha": 2, "alpha": 1}, {"BETA": 4}],
+                     BookMetadata(title="T"))
+    path = tmp_path / "b.json"
+    save_book(book, path)
+    assert load_book(path) == book
 
 
 def test_length_percentile_nearest_rank():

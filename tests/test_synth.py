@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -32,7 +33,7 @@ def test_trim_matter_hand_derived():
     book = uniform_book("b", 100)
     front, middle, back = trim_matter(book, ScriptedRng(randint=[3, 7]))
     assert len(front) == 3 and len(back) == 7
-    assert [p.index for p in middle] == list(range(3, 93))
+    assert middle == book.pages[3:93]
 
 
 def test_trim_matter_zero_draws_keep_whole_book():
@@ -215,14 +216,18 @@ def test_derive_seed_is_stable():
     assert derive_seed(42, "anthology", 0) != derive_seed(42, "split", 0)
 
 
-def _demo_corpus_for_generate():
+def _demo_corpus_for_generate(long_prefix="L"):
+    """Shorts, longs and a three-volume work; the default long ids make
+    upper-case tokens."""
     corpus = []
     for i in range(8):
         meta = BookMetadata(title=f"Short {i}", author="A")
         corpus.append(uniform_book(f"s{i}", 22 + i, metadata=meta))
     for i in range(4):
         meta = BookMetadata(title=f"Long {i}", author="A", work_key=None)
-        corpus.append(uniform_book(f"L{i}", 80 + i, words_per_page=30, metadata=meta))
+        corpus.append(
+            uniform_book(f"{long_prefix}{i}", 80 + i, words_per_page=30, metadata=meta)
+        )
     for v in (1, 2, 3):
         meta = BookMetadata(
             title="Work", author="A", enumeration_raw=f"v.{v}", work_key="w0"
@@ -270,6 +275,98 @@ def test_synth_book_json_round_trip(tmp_path):
     save_synth_book(books[0], path)
     again = load_synth_book(path)
     assert again == books[0]
+
+
+def test_split_of_upper_case_book_round_trips(tmp_path):
+    books, _ = generate(_demo_corpus_for_generate(), {"split": 1}, base_seed=4)
+    assert all(token.islower() for token in books[0].book.pages[0].tokens)
+    for index, synth in enumerate(books):
+        path = tmp_path / f"part{index}.json"
+        save_synth_book(synth, path)
+        assert load_synth_book(path) == synth
+
+
+def test_generate_golden_bytes(tmp_path):
+    """The bytes of every synthetic book file for a fixed corpus and seed;
+    pins the generator's random draw order across versions."""
+    corpus = _demo_corpus_for_generate(long_prefix="l")
+    counts = {"anthology": 2, "combined": 2, "split": 2, "overlap": 2}
+    books, _ = generate(corpus, counts, base_seed=5)
+    digest = hashlib.sha256()
+    for synth in books:
+        path = tmp_path / "synth.json"
+        save_synth_book(synth, path)
+        digest.update(path.read_bytes())
+    assert len(books) == 14
+    assert digest.hexdigest() == (
+        "8faf499d60e0de04a67226d0a5d4354b0fdc551fae50ab69ea1a8ff41051ee8e"
+    )
+
+
+def assert_shares_component_pages(synth, components):
+    """Each page of `synth` is the very Page object of a component: some
+    component's front, then every trimmed middle in order, then that
+    component's back."""
+    by_id = {c.id: c for c in components}
+    middles = []
+    for cid, (front, back) in zip(synth.recipe.component_ids, synth.recipe.trims):
+        middles.extend(by_id[cid].pages[front : len(by_id[cid].pages) - back])
+    pages = synth.book.pages
+    start = next(i for i, page in enumerate(pages) if page is middles[0])
+    end = start + len(middles)
+    assert all(a is b for a, b in zip(pages[start:end], middles, strict=True))
+    assert any(
+        all(a is b for a, b in zip(pages[:start], c.pages))
+        and all(a is b for a, b in zip(pages[end:], c.pages[len(c.pages) - len(pages) + end :]))
+        for c in components
+    )
+
+
+def test_synthetic_pages_are_the_components_pages():
+    pool = [uniform_book(f"c{i}", 30 + i) for i in range(4)]
+    assert_shares_component_pages(make_anthology(pool[:3], random.Random(11), seed=11), pool)
+    for side in make_overlap_pair(pool, random.Random(4), seed=4):
+        assert_shares_component_pages(side, pool)
+    source = uniform_book("src", 100)
+    parts = make_split(source, random.Random(13), seed=13)
+    front, back = parts[0].recipe.trims[0]
+    pages = [page for part in parts for page in part.book.pages]
+    middle = source.pages[front : len(source.pages) - back]
+    assert all(a is b for a, b in zip(pages, middle, strict=True))
+
+
+def _saved_split(tmp_path):
+    books, _ = generate(_demo_corpus_for_generate(), {"split": 1}, base_seed=4)
+    path = tmp_path / "synth.json"
+    save_synth_book(books[0], path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_load_synth_book_rejects_missing_recipe_key(tmp_path):
+    path, doc = _saved_split(tmp_path)
+    doc["synthetic"] = {"kind": "split"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 'synthetic' lacks 'component_ids'")):
+        load_synth_book(path)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": 3}, "'kind' must be a string"),
+    ({"component_ids": "src"}, "'component_ids' must be a list of strings"),
+    ({"seed": "4"}, "'seed' must be an integer"),
+    ({"seed": True}, "'seed' must be an integer"),
+    ({"trims": [[1]]}, "'trims' must be a list of [front, back] integers"),
+    ({"trims": 3}, "'trims' must be a list of [front, back] integers"),
+    ({"relations": [["src"]]}, "'relations' must be a list of [book id, relationship label]"),
+    ({"relations": [["src", "SIBLING"]]}, "'relations' must be a list of [book id, relationship"),
+], ids=["kind", "component-ids", "seed-str", "seed-bool", "trims-pair", "trims-type",
+        "relations-pair", "relations-label"])
+def test_load_synth_book_rejects_bad_recipe_naming_path(tmp_path, change, message):
+    path, doc = _saved_split(tmp_path)
+    doc["synthetic"].update(change)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: synthetic {message}")):
+        load_synth_book(path)
 
 
 def test_load_synth_book_parses_the_file_once(tmp_path, monkeypatch):
