@@ -241,8 +241,8 @@ def cmd_featurize(args) -> int:
 def _train_config_from(args) -> TrainConfig:
     """Flags beat the JSON config file, which beats TrainConfig's defaults.
     A config file that is not a JSON object of TrainConfig fields, that gives
-    a field a value of the wrong type, or that weights an unknown label,
-    raises a ValueError naming the file."""
+    a field a value of the wrong type or one TrainConfig refuses, or that
+    weights an unknown label, raises a ValueError naming the file."""
     values = _read_train_config(Path(args.config)) if args.config else {}
     for field in dataclasses.fields(TrainConfig):
         if getattr(args, field.name, None) is not None:
@@ -292,6 +292,10 @@ def _read_train_config(path: Path) -> dict:
         _check_number(weight, f"{path}: class_weights: {label}", integer=False)
     if weights:
         values["class_weights"] = {RelationshipLabel(k): float(v) for k, v in weights.items()}
+    try:
+        TrainConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return values
 
 

@@ -133,6 +133,8 @@ def book_from_json(doc, path: str | Path) -> Book:
     path and the page."""
     if not isinstance(doc, dict) or "id" not in doc or "pages" not in doc:
         raise BookFormatError(f"{path}: expected an object with 'id' and 'pages'")
+    if not isinstance(doc["id"], str) or not doc["id"]:
+        raise BookFormatError(f"{path}: 'id' must be a non-empty string")
     if not isinstance(doc["pages"], list):
         raise BookFormatError(f"{path}: 'pages' must be a list")
 
@@ -152,7 +154,7 @@ def book_from_json(doc, path: str | Path) -> Book:
     page_tokens = [entry.get("tokens") if isinstance(entry, dict) else entry
                    for entry in doc["pages"]]
     try:
-        return make_book(str(doc["id"]), page_tokens, metadata)
+        return make_book(doc["id"], page_tokens, metadata)
     except ValueError as exc:
         raise BookFormatError(f"{path}: {exc}") from exc
 

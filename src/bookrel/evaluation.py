@@ -118,13 +118,13 @@ def compute_metrics(
 def score_pairs(model: ClassifierModel, examples: Sequence[PairExample]) -> np.ndarray:
     """Class probabilities, one row per example in input order.
 
-    Examples are ordered by (left, right) chunk counts and scored
-    SCORE_BATCH at a time, so memory stays bounded however many pairs are
-    scored and each slice holds matrices of similar extent, which nn.forward
-    crops together. A pair's probabilities can differ in their last bits (up
-    to about 1e-5) with the pairs that share its slice, because BLAS picks
-    its kernel by matrix shape; for a fixed list of examples they are
-    deterministic."""
+    Examples are ordered by (left, right) chunk counts, which bound the rows
+    and columns their matrices occupy, and scored SCORE_BATCH at a time. So
+    memory stays bounded however many pairs are scored, and each slice holds
+    few crop shapes, which nn.forward groups its conv/pool runs by. A pair's
+    probabilities can differ in their last bits (up to about 1e-5) with the
+    pairs that share its slice, because BLAS picks its kernel by matrix
+    shape; for a fixed list of examples they are deterministic."""
     order = sorted(
         range(len(examples)),
         key=lambda i: (examples[i].matrix.left_chunks, examples[i].matrix.right_chunks),

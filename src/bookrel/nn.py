@@ -8,13 +8,16 @@ to class logits with a softmax head.
 
 Matrices are zero-padded top-left to the model's side and are mostly
 padding, so the conv/pool stack runs only where their nonzero cells reach.
-A batch's examples are sorted by occupied extent (last nonzero row or
-column) and cut into groups of CONV_GROUP; conv1 -> pool1 -> conv2 -> pool2
-runs on each group's top-left crop, the smallest that holds every pool2 cell
-its nonzeros can reach. Everything outside the crops is one constant per
-channel, because a zero input there reduces each layer to its bias path; its
-pool2 values and its backward terms are filled in closed form. Results equal
-the full-side computation up to float32 rounding.
+Each example's own crop is the smallest top-left (height, width) that holds
+every pool2 cell its nonzeros (last nonzero row and column) can reach. A
+batch is taken in (crop height, crop width) order and cut into groups:
+equal crops always share a group, and a group grows while its cells, padded
+to its largest height and width, stay within CROP_PAD_CELLS of its members'
+own cells. conv1 -> pool1 -> conv2 -> pool2 runs once per group, on that
+padded crop. Everything outside the crops is one constant per channel,
+because a zero input there reduces each layer to its bias path; its pool2
+values and its backward terms are filled in closed form. Results equal the
+full-side computation up to float32 rounding.
 
 A convolution is one matrix product over im2col columns: every output
 cell's k x k x Cin window in (i, j, c) order, the row order of
@@ -32,6 +35,7 @@ Training is a pure function of (dataset order, config, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -46,10 +50,10 @@ from .labels import RelationshipLabel, canonical_class_list
 
 MODEL_MAGIC = b"BKRM"
 MODEL_VERSION = 1
-# examples per cropped conv/pool run: one crop per whole batch pads small
-# matrices up to the batch's largest; groups of 4 lose to per-call overhead
-# at side 32
-CONV_GROUP = 8
+# padded cells a conv/pool group may carry beyond its members' own crops:
+# about what one more group's kernel calls cost in per-call overhead, so
+# near-equal crops share a group and a long, thin crop is not padded square
+CROP_PAD_CELLS = 1024
 
 PARAM_ORDER = (
     "conv1_w", "conv1_b",
@@ -106,6 +110,16 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        for name in ("dropout_flat", "dropout_pair"):
+            # a rate of 1 keeps nothing and divides the mask by zero
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for label, weight in (self.class_weights or {}).items():
+            if not 0 <= weight < np.inf:
+                raise ValueError(
+                    f"class_weights[{RelationshipLabel(label).value}] must be a "
+                    f"finite number >= 0, got {weight}"
+                )
 
 
 @dataclass
@@ -268,13 +282,43 @@ def _occupied_extents(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last(nonzero.any(axis=2)), last(nonzero.any(axis=1))
 
 
-def _crop_side(extent: int, config: ModelConfig) -> int:
+def _crop_side(extent: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Crop length along one axis whose pool2 output holds every pool2 cell
     that an occupied extent e reaches along it: ceil(ceil(e/2)/2) cells, at
-    least one so that conv2's window fits, need 4 cells + 3(k-1) inputs."""
+    least one so that conv2's window fits, need 4 cells + 3(k-1) inputs.
+    Elementwise over an array of extents."""
     pool1_cells = -(-extent // 2)
-    cells = max(-(-pool1_cells // 2), 1)
-    return min(4 * cells + 3 * (config.kernel_size - 1), config.matrix_size)
+    cells = np.maximum(-(-pool1_cells // 2), 1)
+    return np.minimum(4 * cells + 3 * (config.kernel_size - 1), config.matrix_size)
+
+
+def _crop_groups(
+    rows: np.ndarray, cols: np.ndarray, config: ModelConfig
+) -> list[tuple[np.ndarray, int, int]]:
+    """A batch's conv/pool groups as (members, crop height, crop width), from
+    the occupied extents alone. Examples are taken in stable (own crop
+    height, own crop width) order, one run of equal crops at a time; a run
+    joins the open group while the group's padded cells, members x height x
+    width, stay within CROP_PAD_CELLS of its members' own cells, and opens a
+    new group otherwise."""
+    heights = _crop_side(rows, config).tolist()
+    widths = _crop_side(cols, config).tolist()
+    order = np.lexsort((widths, heights)).tolist()
+    groups: list[tuple[np.ndarray, int, int]] = []
+    members: list[int] = []
+    own = height = width = 0
+    for (h, w), run in itertools.groupby(order, key=lambda i: (heights[i], widths[i])):
+        run = list(run)
+        cells = own + len(run) * h * w
+        wide = max(width, w)
+        if members and (len(members) + len(run)) * h * wide - cells > CROP_PAD_CELLS:
+            groups.append((np.array(members), height, width))
+            members, cells, wide = [], len(run) * h * w, w
+        members += run
+        own, height, width = cells, h, wide
+    if members:
+        groups.append((np.array(members), height, width))
+    return groups
 
 
 def _forward_batch(
@@ -312,13 +356,8 @@ def _forward_batch(
     p2 = np.empty((len(x), side2, side2, cfg.conv2_filters), dtype=dtype)
     p2[:] = np.maximum(k2, 0)
 
-    rows, cols = _occupied_extents(matrices)
-    order = np.argsort(np.maximum(rows, cols), kind="stable")
     groups = []
-    for start in range(0, len(order), CONV_GROUP):
-        members = order[start : start + CONV_GROUP]
-        height = _crop_side(int(rows[members].max()), cfg)
-        width = _crop_side(int(cols[members].max()), cfg)
+    for members, height, width in _crop_groups(*_occupied_extents(matrices), cfg):
         xg = x[members, :height, :width]
         z1 = conv2d(xg, p["conv1_w"]) + p["conv1_b"]
         a1 = np.maximum(z1, 0)

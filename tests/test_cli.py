@@ -220,6 +220,18 @@ def test_config_file_precedence(pipeline, tmp_path):
     assert manifest["seeds"]["seed"] == 4
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--dropout-flat", "1"], "dropout_flat must be in [0, 1), got 1.0"),
+    (["--dropout-pair", "-0.5"], "dropout_pair must be in [0, 1), got -0.5"),
+], ids=["dropout-flat-one", "dropout-pair-negative"])
+def test_impossible_dropout_flag_is_one_line_error(pipeline, tmp_path, capsys, argv, message):
+    model_path = tmp_path / "model.bin"
+    assert main(["train", "--features", str(pipeline / "features"),
+                 "--out", str(model_path), *argv]) == 1
+    assert capsys.readouterr().err == f"bookrel: error: {message}\n"
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ("[1, 2]", "expected a JSON object, got list"),
     ('{"epochs": 1,', "invalid JSON"),
@@ -234,10 +246,15 @@ def test_config_file_precedence(pipeline, tmp_path):
     ('{"dropout_pair": [0.5]}', "dropout_pair: expected a number, got list"),
     ('{"class_weights": [3.0]}', "class_weights: expected an object, got list"),
     ('{"class_weights": {"PARTOF": "3"}}', "class_weights: PARTOF: expected a number, got str"),
+    ('{"epochs": 0}', "epochs must be >= 1"),
+    ('{"dropout_flat": 1.0}', "dropout_flat must be in [0, 1), got 1.0"),
+    ('{"class_weights": {"PARTOF": -2}}',
+     "class_weights[PARTOF] must be a finite number >= 0, got -2.0"),
 ], ids=["not-an-object", "invalid-json", "unknown-key", "unknown-label",
         "epochs-str", "batch-size-bool", "seed-float", "learning-rate-str",
         "learning-rate-nan", "dropout-flat-null", "dropout-pair-list",
-        "class-weights-list", "class-weight-str"])
+        "class-weights-list", "class-weight-str", "epochs-zero", "dropout-flat-one",
+        "class-weight-negative"])
 def test_bad_config_file_is_refused_naming_it(pipeline, tmp_path, capsys, text, message):
     config = tmp_path / "train.json"
     config.write_text(text, encoding="utf-8")

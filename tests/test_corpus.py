@@ -97,6 +97,16 @@ def test_load_book_rejects_bad_page_naming_path(tmp_path, entry, message):
         load_book(path)
 
 
+@pytest.mark.parametrize("book_id", [None, {"k": 1}, 7, ""],
+                         ids=["null", "object", "number", "empty"])
+def test_load_book_rejects_id_that_is_not_a_nonempty_string(tmp_path, book_id):
+    # str() of these would give ids such as 'None', which two files can share
+    path = write_book_file(tmp_path, {"id": book_id, "pages": [{"tokens": {"a": 1}}]})
+    with pytest.raises(BookFormatError,
+                       match=re.escape(f"{path}: 'id' must be a non-empty string")):
+        load_book(path)
+
+
 def test_load_book_rejects_empty_page_list(tmp_path):
     path = write_book_file(tmp_path, {"id": "b1", "pages": []})
     with pytest.raises(BookFormatError, match="empty page list"):

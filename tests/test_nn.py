@@ -1,13 +1,15 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bookrel.evaluation import evaluate_model
 from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
 from bookrel.nn import (
-    CONV_GROUP,
+    CROP_PAD_CELLS,
     PARAM_ORDER,
     AdamState,
     ClassifierModel,
@@ -15,6 +17,8 @@ from bookrel.nn import (
     TrainConfig,
     TrainingDivergedError,
     _backward_batch,
+    _crop_groups,
+    _crop_side,
     _forward_batch,
     conv2d,
     conv2d_backward,
@@ -365,10 +369,10 @@ def test_grouped_conv_stack_matches_full_side_oracle():
     model.params["conv1_b"][:] = [0.3, -0.2, 0.1, -0.4]
     model.params["conv2_b"][:] = [0.2, -0.3, 0.05, -0.1, 0.4]
     rng = np.random.default_rng(14)
-    # more than one group, in an order unlike the extents' order
+    # in an order unlike the extents' order, with anti-correlated extents
+    # such as (3, 40) and (40, 3) that no one square crop fits tightly
     shapes = [(side, side), (1, 1), (0, 0), (3, 17), (25, 2), (9, 9), (40, 5),
-              (2, 2), (14, 30), (6, 1), (1, 33), (18, 18)]
-    assert len(shapes) > CONV_GROUP
+              (2, 2), (14, 30), (6, 1), (1, 33), (18, 18), (3, 40), (40, 3)]
     mats = np.stack([partly_filled(rng, r, c, side).values if r else np.zeros((side, side))
                      for r, c in shapes])
     pairs = rng.standard_normal((len(shapes), 6))
@@ -376,6 +380,13 @@ def test_grouped_conv_stack_matches_full_side_oracle():
 
     probs, cache = _forward_batch(model, mats, pairs, train_mode=True,
                                   rng=np.random.default_rng(15))
+    rows, cols = np.array(shapes).T
+    crops = list(zip(_crop_side(rows, config).tolist(), _crop_side(cols, config).tolist()))
+    groups = [g["members"].tolist() for g in cache["groups"]]
+    # the groups are the extents' groups, several, and some merge unequal crops
+    assert groups == [m.tolist() for m, _, _ in _crop_groups(rows, cols, config)]
+    assert len(groups) > 1
+    assert any(len({crops[i] for i in members}) > 1 for members in groups)
     loss, dlogits = cross_entropy(probs, cache["logits"], targets)
     grads = _backward_batch(model, cache, dlogits)
     want_probs, want_loss, want_grads = full_side_oracle(
@@ -390,6 +401,36 @@ def test_grouped_conv_stack_matches_full_side_oracle():
     assert set(grads) == set(want_grads)
     for name, want in want_grads.items():
         assert close(grads[name], want), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.sampled_from([32, 150]), data=st.data())
+def test_crop_groups_partition_the_batch_within_the_padding_allowance(side, data):
+    extents = data.draw(st.lists(
+        st.tuples(st.integers(0, side), st.integers(0, side)), min_size=1, max_size=32
+    ))
+    config = ModelConfig(matrix_size=side)
+    rows, cols = np.array(extents).T
+    heights, widths = _crop_side(rows, config), _crop_side(cols, config)
+    groups = _crop_groups(rows, cols, config)
+
+    members = np.concatenate([m for m, _, _ in groups])
+    assert sorted(members.tolist()) == list(range(len(extents)))
+    group_of = {}
+    for g, (m, height, width) in enumerate(groups):
+        assert (heights[m] <= height).all() and (widths[m] <= width).all()
+        padding = len(m) * height * width - int((heights[m] * widths[m]).sum())
+        assert 0 <= padding <= CROP_PAD_CELLS
+        group_of.update((int(i), g) for i in m)
+    crop_group = {}
+    for i, crop in enumerate(zip(heights.tolist(), widths.tolist())):
+        assert crop_group.setdefault(crop, group_of[i]) == group_of[i]
+
+    # the extents alone decide: a reordered batch gets the same groups
+    perm = np.array(data.draw(st.permutations(range(len(extents)))))
+    regrouped = _crop_groups(rows[perm], cols[perm], config)
+    assert ({(frozenset(perm[m].tolist()), h, w) for m, h, w in regrouped}
+            == {(frozenset(m.tolist()), h, w) for m, h, w in groups})
 
 
 def test_gradient_check_rejects_zero_eps():
@@ -496,6 +537,19 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    # a dropout of 1 keeps nothing and divides its mask by zero, which
+    # training would report as a diverged loss
+    for field, kwargs in [
+        ("dropout_flat", {"dropout_flat": 1.0}),
+        ("dropout_flat", {"dropout_flat": -0.5}),
+        ("dropout_pair", {"dropout_pair": 1.5}),
+        ("dropout_pair", {"dropout_pair": float("nan")}),
+        ("class_weights[PARTOF]", {"class_weights": {RelationshipLabel.PARTOF: -1.0}}),
+        ("class_weights[CONTAINS]", {"class_weights": {"CONTAINS": float("inf")}}),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(field)):
+            TrainConfig(**kwargs)
+    TrainConfig(dropout_flat=0.0, dropout_pair=0.99, class_weights={DIFF: 0.0})
 
 
 # --- predicted labels, as evaluate_model assigns them ----------------------------
