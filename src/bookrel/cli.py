@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -53,7 +52,6 @@ from .features import (
     write_features,
     write_labels,
 )
-from .labels import RelationshipLabel
 from .nn import TrainConfig, load_model, save_model, train
 from .simmat import DEFAULT_MATRIX_SIZE
 from .tsv import read_tsv, write_tsv
@@ -172,19 +170,28 @@ def cmd_infer_labels(args) -> int:
 
 
 def _parse_counts(args) -> dict[str, int]:
+    """--count items of each of --kinds, then the --counts overrides. A count
+    that is not a non-negative integer raises a ValueError naming the flag,
+    and for --counts the item."""
+    if args.count < 0:
+        raise ValueError(f"--count: expected a non-negative integer, got {args.count}")
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     counts = {kind: args.count for kind in kinds}
     if args.counts:
         for item in args.counts.split(","):
             kind, _, value = item.partition("=")
+            if not value.strip().isdecimal():
+                raise ValueError(
+                    f"--counts: {item!r}: expected kind=N, N a non-negative integer"
+                )
             counts[kind.strip()] = int(value)
     return counts
 
 
 def cmd_synthesize(args) -> int:
     started = time.time()
-    corpus = load_corpus(args.corpus)
     counts = _parse_counts(args)
+    corpus = load_corpus(args.corpus)
     synth_books, label_rows = synth.generate(corpus, counts, args.seed, dedup=not args.no_dedup)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,30 +247,14 @@ def cmd_featurize(args) -> int:
 
 def _train_config_from(args) -> TrainConfig:
     """Flags beat the JSON config file, which beats TrainConfig's defaults.
-    A config file that is not a JSON object of TrainConfig fields, that gives
-    a field a value of the wrong type or one TrainConfig refuses, or that
-    weights an unknown label, raises a ValueError naming the file."""
+    TrainConfig checks every value. A config file that is not a JSON object
+    of TrainConfig fields, or that holds a value TrainConfig refuses, raises
+    a ValueError naming the file."""
     values = _read_train_config(Path(args.config)) if args.config else {}
     for field in dataclasses.fields(TrainConfig):
         if getattr(args, field.name, None) is not None:
             values[field.name] = getattr(args, field.name)
     return TrainConfig(**values)
-
-
-# TrainConfig fields that must be JSON integers; the rest are numbers
-_INTEGER_KEYS = ("epochs", "batch_size", "seed")
-
-
-def _check_number(value, where: str, integer: bool) -> None:
-    """Raise a ValueError naming `where` unless value is an int, or with
-    integer=False a finite int or float. JSON true and false load as bool, a
-    subclass of int, and are refused."""
-    wanted = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{where}: expected {kind}, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: expected a finite number, got {value}")
 
 
 def _read_train_config(path: Path) -> dict:
@@ -277,21 +268,6 @@ def _read_train_config(path: Path) -> dict:
     unknown = sorted(set(values) - {field.name for field in dataclasses.fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown}")
-    for name, value in values.items():
-        if name != "class_weights":
-            _check_number(value, f"{path}: {name}", integer=name in _INTEGER_KEYS)
-    weights = values.get("class_weights") or {}
-    if not isinstance(weights, dict):
-        raise ValueError(
-            f"{path}: class_weights: expected an object, got {type(weights).__name__}"
-        )
-    unknown = sorted(set(weights) - {label.value for label in RelationshipLabel})
-    if unknown:
-        raise ValueError(f"{path}: class_weights: unknown labels {unknown}")
-    for label, weight in weights.items():
-        _check_number(weight, f"{path}: class_weights: {label}", integer=False)
-    if weights:
-        values["class_weights"] = {RelationshipLabel(k): float(v) for k, v in weights.items()}
     try:
         TrainConfig(**values)
     except ValueError as exc:
@@ -493,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(p):
         p.add_argument("--config", default=None, help="train config JSON")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
-        p.add_argument("--dropout-flat", type=float, default=None)
-        p.add_argument("--dropout-pair", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        # one flag per TrainConfig number, of its default's type; class
+        # weights are set in the config file only
+        for field in dataclasses.fields(TrainConfig):
+            if field.name != "class_weights":
+                p.add_argument(f"--{field.name.replace('_', '-')}",
+                               type=type(field.default), default=None)
 
     p = sub.add_parser("train", help="train the classifier on a feature directory")
     p.add_argument("--features", required=True)

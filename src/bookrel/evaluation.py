@@ -11,7 +11,7 @@ appear in any test set.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .labels import (
     CLASS_ORDER,
     RelationshipLabel,
     WHOLE_PART,
-    canonical_class_list,
 )
 from . import nn
 from .nn import ClassifierModel, TrainConfig
@@ -245,9 +244,7 @@ def run_condition(
     train_set, test_set, n_real = build_condition_dataset(real, synth, config)
     if not train_set:
         raise ValueError("condition produced an empty training set")
-    train_config = TrainConfig(**{**config.train_config.__dict__, "seed": config.seed})
-    class_list = canonical_class_list(ex.label for ex in train_set)
-    model, history = nn.train(train_set, train_config, class_list=class_list)
+    model, history = nn.train(train_set, replace(config.train_config, seed=config.seed))
     confusion = evaluate_model(model, test_set)
     return ConditionReport(
         condition=config.condition,
@@ -317,7 +314,10 @@ def surface_overlaps(
     top_k: int,
 ) -> list[SurfacedPair]:
     """Rank already-labeled pairs by their OVERLAPS probability, descending.
-    Candidates beyond the pair count are simply all returned."""
+    Candidates beyond the pair count are simply all returned; a top_k below
+    1 raises a ValueError."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     if RelationshipLabel.OVERLAPS not in model.class_list:
         raise ValueError("model was not trained with an OVERLAPS class")
     overlap_idx = model.class_index(RelationshipLabel.OVERLAPS)
@@ -326,7 +326,7 @@ def surface_overlaps(
         range(len(examples)),
         key=lambda i: (-confidence[i], examples[i].left_id, examples[i].right_id),
     )
-    top = order[: min(top_k, len(order))]
+    top = order[:top_k]
     return [
         SurfacedPair(rank, examples[i].label, examples[i].left_id,
                      examples[i].right_id, float(confidence[i]))

@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -49,7 +51,7 @@ from .features import PairExample
 from .labels import RelationshipLabel, canonical_class_list
 
 MODEL_MAGIC = b"BKRM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # padded cells a conv/pool group may carry beyond its members' own crops:
 # about what one more group's kernel calls cost in per-call overhead, so
 # near-equal crops share a group and a long, thin crop is not padded square
@@ -77,8 +79,6 @@ class ModelConfig:
     kernel_size: int = 3
     pair_hidden: int = 32
     merge_hidden: int = 64
-    dropout_flat: float = 0.5
-    dropout_pair: float = 0.25
 
     def conv_stack_sizes(self) -> tuple[int, int, int, int, int]:
         """Spatial sizes (conv1, pool1, conv2, pool2) and the flat width."""
@@ -93,8 +93,19 @@ class ModelConfig:
         return c1, p1, c2, p2, p2 * p2 * self.conv2_filters
 
 
+def _check_number(value, where: str, integer: bool = False) -> None:
+    """A ValueError naming `where` unless value is an int, or with
+    integer=False an int or float; bool (JSON true/false) is refused."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{where}: expected {kind}, got {type(value).__name__}")
+
+
 @dataclass
 class TrainConfig:
+    """Every training setting. Each value is checked here, in an error that
+    names its field; class_weights become {label: float}."""
+
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-3
@@ -104,22 +115,41 @@ class TrainConfig:
     class_weights: dict[RelationshipLabel, float] | None = None
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            _check_number(getattr(self, name), name, integer=True)
+        for name in ("learning_rate", "dropout_flat", "dropout_pair"):
+            _check_number(getattr(self, name), name)
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: expected a finite number, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("dropout_flat", "dropout_pair"):
             # a rate of 1 keeps nothing and divides the mask by zero
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for label, weight in (self.class_weights or {}).items():
-            if not 0 <= weight < np.inf:
-                raise ValueError(
-                    f"class_weights[{RelationshipLabel(label).value}] must be a "
-                    f"finite number >= 0, got {weight}"
-                )
+        if self.class_weights is not None:
+            self.class_weights = _label_weights(self.class_weights)
+
+
+def _label_weights(weights) -> dict[RelationshipLabel, float]:
+    if not isinstance(weights, dict):
+        raise ValueError(f"class_weights: expected an object, got {type(weights).__name__}")
+    unknown = sorted(str(k) for k in weights if k not in {x.value for x in RelationshipLabel})
+    if unknown:
+        raise ValueError(f"class_weights: unknown labels {unknown}")
+    table = {RelationshipLabel(key): weight for key, weight in weights.items()}
+    for label, weight in table.items():
+        _check_number(weight, f"class_weights: {label.value}")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"class_weights[{label.value}] must be a finite number >= 0, "
+                             f"got {float(weight)}")
+    return {label: float(weight) for label, weight in table.items()}
 
 
 @dataclass
@@ -127,7 +157,6 @@ class ClassifierModel:
     config: ModelConfig
     class_list: list[RelationshipLabel]
     params: dict[str, np.ndarray]
-    rng_seed: int = 0
 
     def class_index(self, label: RelationshipLabel) -> int:
         return self.class_list.index(label)
@@ -137,13 +166,23 @@ class ClassifierModel:
             self.config,
             list(self.class_list),
             {k: v.astype(dtype) for k, v in self.params.items()},
-            self.rng_seed,
         )
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+def _param_shapes(config: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in PARAM_ORDER, from the architecture and the
+    class count; init_model draws them and load_model reads them."""
+    k = config.kernel_size
+    f1, f2 = config.conv1_filters, config.conv2_filters
+    *_, flat = config.conv_stack_sizes()
+    return {
+        "conv1_w": (k, k, 1, f1), "conv1_b": (f1,),
+        "conv2_w": (k, k, f1, f2), "conv2_b": (f2,),
+        "pair_w": (config.pair_dim, config.pair_hidden), "pair_b": (config.pair_hidden,),
+        "merge_w": (flat + config.pair_hidden, config.merge_hidden),
+        "merge_b": (config.merge_hidden,),
+        "out_w": (config.merge_hidden, n_classes), "out_b": (n_classes,),
+    }
 
 
 def init_model(
@@ -151,30 +190,20 @@ def init_model(
     class_list: Sequence[RelationshipLabel],
     seed: int = 0,
 ) -> ClassifierModel:
-    """Glorot-uniform weights, zero biases, drawn in a fixed parameter order."""
+    """Glorot-uniform weights, zero biases, drawn in PARAM_ORDER. A weight's
+    fans are its input and output widths times its kernel area."""
     if not class_list:
         raise ValueError("class_list must not be empty")
-    k = config.kernel_size
-    f1, f2 = config.conv1_filters, config.conv2_filters
-    *_, flat = config.conv_stack_sizes()
-    n_classes = len(class_list)
     rng = np.random.default_rng(seed)
-    params = {
-        "conv1_w": _glorot(rng, (k, k, 1, f1), k * k, k * k * f1),
-        "conv1_b": np.zeros(f1, dtype=np.float32),
-        "conv2_w": _glorot(rng, (k, k, f1, f2), k * k * f1, k * k * f2),
-        "conv2_b": np.zeros(f2, dtype=np.float32),
-        "pair_w": _glorot(rng, (config.pair_dim, config.pair_hidden),
-                          config.pair_dim, config.pair_hidden),
-        "pair_b": np.zeros(config.pair_hidden, dtype=np.float32),
-        "merge_w": _glorot(rng, (flat + config.pair_hidden, config.merge_hidden),
-                           flat + config.pair_hidden, config.merge_hidden),
-        "merge_b": np.zeros(config.merge_hidden, dtype=np.float32),
-        "out_w": _glorot(rng, (config.merge_hidden, n_classes),
-                         config.merge_hidden, n_classes),
-        "out_b": np.zeros(n_classes, dtype=np.float32),
-    }
-    return ClassifierModel(config, list(class_list), params, seed)
+    params = {}
+    for name, shape in _param_shapes(config, len(class_list)).items():
+        if name.endswith("_b"):
+            params[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            area = math.prod(shape[:-2])
+            limit = np.sqrt(6.0 / (area * shape[-2] + area * shape[-1]))
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return ClassifierModel(config, list(class_list), params)
 
 
 # --- layer primitives -------------------------------------------------------
@@ -325,13 +354,13 @@ def _forward_batch(
     model: ClassifierModel,
     matrices: np.ndarray,
     pair_vectors: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    dropout: tuple[np.random.Generator, float, float] | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Batched forward pass; the cache holds every intermediate needed by
-    backpropagation. Dropout (inverted, so inference needs no rescaling) is
-    applied only in train mode, drawn over the whole flattened batch in
-    batch order."""
+    backpropagation. `dropout` is (generator, flat rate, pair rate) in
+    training and None for inference. Dropout is inverted, so inference needs
+    no rescaling. Each mask is drawn only when its rate is above 0, over the
+    whole flattened batch in batch order, the flat mask first."""
     p = model.params
     dtype = p["out_w"].dtype
     cfg = model.config
@@ -343,8 +372,7 @@ def _forward_batch(
         raise ValueError(
             f"pair vector length {pair_vectors.shape[1]} != model pair_dim {cfg.pair_dim}"
         )
-    if train_mode and rng is None and (cfg.dropout_flat > 0 or cfg.dropout_pair > 0):
-        raise ValueError("train_mode forward with dropout requires an rng")
+    rng, rate_flat, rate_pair = dropout or (None, 0.0, 0.0)
 
     x = matrices.astype(dtype, copy=False)[..., None]
     pairs = pair_vectors.astype(dtype, copy=False)
@@ -373,8 +401,8 @@ def _forward_batch(
         })
     flat = p2.reshape(p2.shape[0], -1)
 
-    if train_mode and cfg.dropout_flat > 0:
-        mask_flat = _dropout_mask(rng, flat.shape, cfg.dropout_flat, np.dtype(dtype))
+    if rate_flat > 0:
+        mask_flat = _dropout_mask(rng, flat.shape, rate_flat, np.dtype(dtype))
         flat_kept = flat * mask_flat
     else:
         mask_flat = None
@@ -382,8 +410,8 @@ def _forward_batch(
 
     zp = pairs @ p["pair_w"] + p["pair_b"]
     ap = np.maximum(zp, 0)
-    if train_mode and cfg.dropout_pair > 0:
-        mask_pair = _dropout_mask(rng, ap.shape, cfg.dropout_pair, np.dtype(dtype))
+    if rate_pair > 0:
+        mask_pair = _dropout_mask(rng, ap.shape, rate_pair, np.dtype(dtype))
         ap_kept = ap * mask_pair
     else:
         mask_pair = None
@@ -606,26 +634,21 @@ def train(
     matrix_size = dataset[0].matrix.size
     pair_dim = int(np.asarray(dataset[0].pair_vector).size)
     if model_config is None:
-        model_config = ModelConfig(
-            matrix_size=matrix_size,
-            pair_dim=pair_dim,
-            dropout_flat=config.dropout_flat,
-            dropout_pair=config.dropout_pair,
-        )
+        model_config = ModelConfig(matrix_size=matrix_size, pair_dim=pair_dim)
 
     root = np.random.SeedSequence(config.seed)
     init_seq, stream_seq = root.spawn(2)
     model = init_model(model_config, class_list, seed=init_seq)
-    model.rng_seed = config.seed
     stream = np.random.default_rng(stream_seq)
+    dropout = (stream, config.dropout_flat, config.dropout_pair)
 
     mats, pairs, targets = _stack_dataset(dataset, class_list)
     weights = None
     if config.class_weights:
         table = np.ones(len(class_list), dtype=np.float32)
         for label, weight in config.class_weights.items():
-            if RelationshipLabel(label) in class_list:
-                table[class_list.index(RelationshipLabel(label))] = weight
+            if label in class_list:
+                table[class_list.index(label)] = weight
         weights = table[targets]
 
     n = len(dataset)
@@ -637,9 +660,7 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            probs, cache = _forward_batch(
-                model, mats[batch], pairs[batch], train_mode=True, rng=stream
-            )
+            probs, cache = _forward_batch(model, mats[batch], pairs[batch], dropout)
             batch_weights = weights[batch] if weights is not None else None
             loss, dlogits = cross_entropy(
                 probs, cache["logits"], targets[batch], batch_weights
@@ -661,13 +682,14 @@ def train(
 # --- serialization ------------------------------------------------------------
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    """Versioned binary: magic, version, JSON header (config, classes,
-    shapes), then raw little-endian float32 weights in a fixed order."""
+    """Versioned binary: magic, version, header length, a JSON header holding
+    the architecture (`config`) and the `class_list`, then raw little-endian
+    float32 weights in PARAM_ORDER, each in the shape the architecture and
+    class count give it. Training settings are not stored: inference does
+    not read them, and the run manifest records them."""
     header = {
         "config": asdict(model.config),
         "class_list": [label.value for label in model.class_list],
-        "rng_seed": model.rng_seed,
-        "shapes": {name: list(model.params[name].shape) for name in PARAM_ORDER},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
@@ -679,7 +701,45 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
             )
 
 
+def _keys_exactly(path, where: str, value, names: set[str]) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {where}: expected an object, got {type(value).__name__}")
+    missing, unknown = sorted(names - set(value)), sorted(set(value) - names)
+    if missing or unknown:
+        raise ValueError(f"{path}: {where}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _read_header(path, blob: bytes) -> tuple[ModelConfig, list[RelationshipLabel]]:
+    """The architecture and class list of a model header, or a ValueError
+    naming the file."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ValueError(f"{path}: model header is not JSON: {exc}") from exc
+    _keys_exactly(path, "model header", header, {"config", "class_list"})
+    values = header["config"]
+    _keys_exactly(path, "config", values, {f.name for f in fields(ModelConfig)})
+    bad = sorted(name for name, value in values.items()
+                 if isinstance(value, bool) or not isinstance(value, int) or value < 1)
+    if bad:
+        raise ValueError(f"{path}: config: {bad} must be integers >= 1")
+    labels = header["class_list"]
+    names = {label.value for label in RelationshipLabel}
+    if (not isinstance(labels, list) or not labels
+            or not all(isinstance(v, str) and v in names for v in labels)
+            or len(set(labels)) < len(labels)):
+        raise ValueError(
+            f"{path}: class_list must be a non-empty list of distinct labels, got {labels}"
+        )
+    return ModelConfig(**values), [RelationshipLabel(v) for v in labels]
+
+
 def load_model(path: str | Path) -> ClassifierModel:
+    """Read a save_model file. A file of another version, a header that is
+    not a JSON object of exactly the architecture's fields and a list of
+    known labels, or weights that do not fill the architecture's shapes
+    exactly (too few bytes or too many) raises a ValueError naming the
+    file."""
     with open(path, "rb") as handle:
         prefix = handle.read(12)
         if len(prefix) < 12:
@@ -688,19 +748,27 @@ def load_model(path: str | Path) -> ClassifierModel:
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
+            raise ValueError(
+                f"{path}: unsupported model version {version} "
+                f"(this version reads {MODEL_VERSION}; retrain the model)"
+            )
         blob = handle.read(header_len)
         if len(blob) < header_len:
             raise ValueError(f"{path}: truncated model header")
-        header = json.loads(blob.decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        class_list = [RelationshipLabel(v) for v in header["class_list"]]
-        params: dict[str, np.ndarray] = {}
-        for name in PARAM_ORDER:
-            shape = tuple(header["shapes"][name])
-            n_bytes = int(np.prod(shape)) * 4
-            raw = handle.read(n_bytes)
-            if len(raw) < n_bytes:
-                raise ValueError(f"{path}: truncated weights for {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return ClassifierModel(config, class_list, params, header.get("rng_seed", 0))
+        config, class_list = _read_header(path, blob)
+        try:
+            shapes = _param_shapes(config, len(class_list))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        want = 4 * sum(math.prod(shape) for shape in shapes.values())
+        have = os.fstat(handle.fileno()).st_size - handle.tell()
+        if have < want:
+            raise ValueError(f"{path}: truncated weights: {have} of {want} bytes")
+        if have > want:
+            raise ValueError(f"{path}: {have - want} bytes after the weights")
+        params = {
+            name: np.frombuffer(handle.read(4 * math.prod(shape)), dtype="<f4")
+            .reshape(shape).copy()
+            for name, shape in shapes.items()
+        }
+    return ClassifierModel(config, class_list, params)

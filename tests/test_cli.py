@@ -223,13 +223,30 @@ def test_config_file_precedence(pipeline, tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["--dropout-flat", "1"], "dropout_flat must be in [0, 1), got 1.0"),
     (["--dropout-pair", "-0.5"], "dropout_pair must be in [0, 1), got -0.5"),
-], ids=["dropout-flat-one", "dropout-pair-negative"])
+    (["--learning-rate", "nan"], "learning_rate: expected a finite number, got nan"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["dropout-flat-one", "dropout-pair-negative", "learning-rate-nan", "seed-negative"])
 def test_impossible_dropout_flag_is_one_line_error(pipeline, tmp_path, capsys, argv, message):
     model_path = tmp_path / "model.bin"
     assert main(["train", "--features", str(pipeline / "features"),
                  "--out", str(model_path), *argv]) == 1
     assert capsys.readouterr().err == f"bookrel: error: {message}\n"
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--counts", "anthology=-2"], "--counts: 'anthology=-2': expected kind=N"),
+    (["--counts", "anthology=x"], "--counts: 'anthology=x': expected kind=N"),
+    (["--counts", "anthology"], "--counts: 'anthology': expected kind=N"),
+    (["--count", "-1"], "--count: expected a non-negative integer, got -1"),
+], ids=["counts-negative", "counts-not-a-number", "counts-no-value", "count-negative"])
+def test_bad_synthesize_count_is_one_line_error(pipeline, tmp_path, capsys, argv, message):
+    out = tmp_path / "synth"
+    assert main(["synthesize", "--corpus", str(pipeline / "corpus" / "manifest.tsv"),
+                 "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bookrel: error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,message", [

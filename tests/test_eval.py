@@ -418,3 +418,15 @@ def test_surface_overlaps_top_k_larger_than_pool(tiny_condition_world):
     )
     rows = surface_overlaps(model, real[:7], top_k=99)
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("top_k", [0, -1, -3])
+def test_surface_overlaps_refuses_top_k_below_one(tiny_condition_world, top_k):
+    real, _ = tiny_condition_world
+    model = init_model(
+        ModelConfig(matrix_size=10, pair_dim=4, conv1_filters=2, conv2_filters=2,
+                    pair_hidden=3, merge_hidden=4),
+        [SW, OVERLAPS], seed=2,
+    )
+    with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
+        surface_overlaps(model, real[:7], top_k=top_k)

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from bookrel.features import PairExample
 from bookrel.labels import RelationshipLabel
 from bookrel.nn import (
     CROP_PAD_CELLS,
+    MODEL_MAGIC,
     PARAM_ORDER,
     AdamState,
     ClassifierModel,
@@ -41,7 +44,7 @@ DIFF = RelationshipLabel.DIFF
 
 TINY = ModelConfig(
     matrix_size=10, pair_dim=6, conv1_filters=2, conv2_filters=3,
-    pair_hidden=4, merge_hidden=5, dropout_flat=0.0, dropout_pair=0.0,
+    pair_hidden=4, merge_hidden=5,
 )
 
 
@@ -245,7 +248,7 @@ def test_forward_zero_input_follows_bias_path():
     outside the layer code."""
     config = ModelConfig(
         matrix_size=10, pair_dim=4, conv1_filters=2, conv2_filters=3,
-        pair_hidden=2, merge_hidden=4, dropout_flat=0.0, dropout_pair=0.0,
+        pair_hidden=2, merge_hidden=4,
     )
     model = init_model(config, [SW, DV, DIFF], seed=0)
     p = model.params
@@ -307,7 +310,7 @@ def test_gradient_check_partly_filled_matrices():
     rng = np.random.default_rng(13)
     config = ModelConfig(
         matrix_size=24, pair_dim=6, conv1_filters=2, conv2_filters=3,
-        pair_hidden=4, merge_hidden=5, dropout_flat=0.0, dropout_pair=0.0,
+        pair_hidden=4, merge_hidden=5,
     )
     model = init_model(config, [SW, DV, DIFF], seed=5)
     # biases of both signs and off zero: the far field sits on them
@@ -321,11 +324,11 @@ def test_gradient_check_partly_filled_matrices():
         assert gradient_check(model, ex, eps=1e-4) < 1e-6
 
 
-def full_side_oracle(model, mats, pairs, targets, rng):
+def full_side_oracle(model, mats, pairs, targets, rng, rate_flat, rate_pair):
     """Probabilities, loss and gradients with conv/pool over the full padded
     side, built from the public kernels; dropout masks are drawn over the
     flattened batch in batch order, flat first."""
-    p, cfg = model.params, model.config
+    p = model.params
     x = mats[..., None]
     z1 = conv2d(x, p["conv1_w"]) + p["conv1_b"]
     a1 = np.maximum(z1, 0)
@@ -334,10 +337,10 @@ def full_side_oracle(model, mats, pairs, targets, rng):
     a2 = np.maximum(z2, 0)
     p2, idx2 = maxpool2(a2)
     flat = p2.reshape(len(x), -1)
-    mask_flat = (rng.random(flat.shape) >= cfg.dropout_flat) / (1 - cfg.dropout_flat)
+    mask_flat = (rng.random(flat.shape) >= rate_flat) / (1 - rate_flat)
     zp = pairs @ p["pair_w"] + p["pair_b"]
     ap = np.maximum(zp, 0)
-    mask_pair = (rng.random(ap.shape) >= cfg.dropout_pair) / (1 - cfg.dropout_pair)
+    mask_pair = (rng.random(ap.shape) >= rate_pair) / (1 - rate_pair)
     joined = np.concatenate([flat * mask_flat, ap * mask_pair], axis=1)
     zm = joined @ p["merge_w"] + p["merge_b"]
     am = np.maximum(zm, 0)
@@ -363,7 +366,7 @@ def test_grouped_conv_stack_matches_full_side_oracle():
     side = 40
     config = ModelConfig(
         matrix_size=side, pair_dim=6, conv1_filters=4, conv2_filters=5,
-        pair_hidden=4, merge_hidden=6, dropout_flat=0.5, dropout_pair=0.25,
+        pair_hidden=4, merge_hidden=6,
     )
     model = init_model(config, [SW, DV, DIFF], seed=2).astype(np.float64)
     model.params["conv1_b"][:] = [0.3, -0.2, 0.1, -0.4]
@@ -378,8 +381,7 @@ def test_grouped_conv_stack_matches_full_side_oracle():
     pairs = rng.standard_normal((len(shapes), 6))
     targets = rng.integers(0, 3, len(shapes))
 
-    probs, cache = _forward_batch(model, mats, pairs, train_mode=True,
-                                  rng=np.random.default_rng(15))
+    probs, cache = _forward_batch(model, mats, pairs, (np.random.default_rng(15), 0.5, 0.25))
     rows, cols = np.array(shapes).T
     crops = list(zip(_crop_side(rows, config).tolist(), _crop_side(cols, config).tolist()))
     groups = [g["members"].tolist() for g in cache["groups"]]
@@ -390,7 +392,7 @@ def test_grouped_conv_stack_matches_full_side_oracle():
     loss, dlogits = cross_entropy(probs, cache["logits"], targets)
     grads = _backward_batch(model, cache, dlogits)
     want_probs, want_loss, want_grads = full_side_oracle(
-        model, mats, pairs, targets, np.random.default_rng(15)
+        model, mats, pairs, targets, np.random.default_rng(15), 0.5, 0.25
     )
 
     def close(got, want):
@@ -546,10 +548,22 @@ def test_train_config_validation():
         ("dropout_pair", {"dropout_pair": float("nan")}),
         ("class_weights[PARTOF]", {"class_weights": {RelationshipLabel.PARTOF: -1.0}}),
         ("class_weights[CONTAINS]", {"class_weights": {"CONTAINS": float("inf")}}),
+        ("epochs: expected an integer, got bool", {"epochs": True}),
+        ("epochs: expected an integer, got float", {"epochs": 2.5}),
+        ("batch_size: expected an integer, got float", {"batch_size": 1.5}),
+        ("learning_rate: expected a finite number, got nan", {"learning_rate": float("nan")}),
+        ("learning_rate: expected a finite number, got inf", {"learning_rate": float("inf")}),
+        ("seed must be >= 0, got -1", {"seed": -1}),
+        ("class_weights: unknown labels ['XX']", {"class_weights": {"XX": 1}}),
+        ("class_weights: expected an object, got list", {"class_weights": [3.0]}),
     ]:
         with pytest.raises(ValueError, match=re.escape(field)):
             TrainConfig(**kwargs)
     TrainConfig(dropout_flat=0.0, dropout_pair=0.99, class_weights={DIFF: 0.0})
+    # label names become labels, and weights floats, once, here
+    weights = TrainConfig(class_weights={"PARTOF": 2}).class_weights
+    assert [(type(k), type(v)) for k, v in weights.items()] == [(RelationshipLabel, float)]
+    assert weights == {RelationshipLabel.PARTOF: 2.0}
 
 
 # --- predicted labels, as evaluate_model assigns them ----------------------------
@@ -601,6 +615,76 @@ def test_load_model_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(ValueError, match="truncated"):
         load_model(path)
+
+
+def model_file_parts(path):
+    """The version, JSON header and weight bytes of a model file."""
+    data = path.read_bytes()
+    _, version, size = struct.unpack("<4sII", data[:12])
+    return version, json.loads(data[12 : 12 + size]), data[12 + size :]
+
+
+def write_model_file(path, header, weights, version):
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sII", MODEL_MAGIC, version, len(blob)) + blob + weights)
+
+
+def test_model_header_holds_architecture_and_classes_only(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(init_model(TINY, [SW, DV], seed=0), path)
+    version, header, weights = model_file_parts(path)
+    assert version == 2
+    assert set(header) == {"config", "class_list"}
+    assert header["config"] == {
+        "matrix_size": 10, "pair_dim": 6, "conv1_filters": 2, "conv2_filters": 3,
+        "kernel_size": 3, "pair_hidden": 4, "merge_hidden": 5,
+    }
+    assert header["class_list"] == ["SW", "DV"]
+    assert not any("dropout" in key for key in header["config"])
+    # a version-1 file, which held training settings and shapes, is refused
+    v1 = dict(header, config=dict(header["config"], dropout_flat=0.0, dropout_pair=0.0),
+              rng_seed=0, shapes={})
+    write_model_file(path, v1, weights, version=1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported model version 1")):
+        load_model(path)
+
+
+def _edit(**changes):
+    def edit(header):
+        header["config"].update(changes)
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit,suffix,message", [
+    (lambda h: b"{not json", b"", "model header is not JSON"),
+    (lambda h: b"\xff\xfe", b"", "model header is not JSON"),
+    (lambda h: [h], b"", "model header: expected an object, got list"),
+    (lambda h: {"class_list": h["class_list"]}, b"", "missing keys ['config']"),
+    (_edit(dropout_flat=0.5), b"", "config: missing keys [], unknown keys ['dropout_flat']"),
+    (lambda h: dict(h, config={k: v for k, v in h["config"].items() if k != "pair_dim"}),
+     b"", "missing keys ['pair_dim']"),
+    (_edit(pair_dim="6"), b"", "config: ['pair_dim'] must be integers >= 1"),
+    (_edit(matrix_size=5), b"", "matrix_size 5 too small"),
+    (lambda h: dict(h, shapes={"out_w": [5, 3], "out_b": [3]}), b"",
+     "unknown keys ['shapes']"),
+    (lambda h: dict(h, class_list=["SW", "XX"]), b"", "class_list must be"),
+    (lambda h: dict(h, class_list=["SW", "SW"]), b"", "class_list must be"),
+    (lambda h: dict(h, class_list=["SW"]), b"", "24 bytes after the weights"),
+    (lambda h: dict(h, class_list=["SW", "DV", "DIFF"]), b"", "truncated weights"),
+    (lambda h: h, b"\0" * 4, "4 bytes after the weights"),
+], ids=["not-json", "not-utf8", "not-an-object", "no-config", "config-unknown-key",
+        "config-missing-key", "config-not-int", "config-too-small", "shapes-entry",
+        "unknown-label", "repeated-label", "fewer-classes-than-weights",
+        "more-classes-than-weights", "trailing-bytes"])
+def test_load_model_refuses_malformed_file_naming_it(tmp_path, edit, suffix, message):
+    path = tmp_path / "model.bin"
+    save_model(init_model(TINY, [SW, DV], seed=0), path)
+    version, header, weights = model_file_parts(path)
+    write_model_file(path, edit(header), weights + suffix, version)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as excinfo:
+        load_model(path)
+    assert message in str(excinfo.value)
 
 
 def test_load_model_rejects_bad_magic(tmp_path):
